@@ -16,7 +16,7 @@ from functools import cached_property
 from .bitlinalg import BitMatrix, BitVector, append_column, mismatch_rows
 from .circuit import Circuit, compose, inverse
 from .errors import ContractError, DimensionError
-from .simulator import probabilities
+from .simulator import _evolve
 
 __all__ = [
     "QvmpInstance",
@@ -241,18 +241,22 @@ def build_grover_state(inst: QvmpInstance, iterations: int, dual: bool = False) 
     if iterations < 0:
         raise ContractError("iterations must be >= 0")
     c = _oracle_registers(inst)
-    addr = c.qubits("address")
-    for q in addr:
+    for q in c.qubits("address"):
         c.h(q)
     for i in range(inst.m):
         if inst.y[i]:
             c.x(c.qubit("y", i))
-    oracle = build_oracle(inst, dual=dual)
-    diffuser = build_diffuser(inst.address_bits)
-    identity = list(range(oracle.num_qubits))
-    for _ in range(iterations):
-        c = compose(c, oracle, identity)
-        c = compose(c, diffuser, addr)
+    if iterations:
+        step = _grover_iteration(inst, dual)
+        for _ in range(iterations):
+            c = compose(c, step)
+    return c.freeze()
+
+
+def _grover_iteration(inst: QvmpInstance, dual: bool) -> Circuit:
+    """One (oracle, diffuser) pair on the search registers."""
+    c = compose(_oracle_registers(inst), build_oracle(inst, dual=dual))
+    c = compose(c, build_diffuser(inst.address_bits), c.qubits("address"))
     return c.freeze()
 
 
@@ -327,19 +331,24 @@ def build_grover_search_compact(inst: QvmpInstance, iterations: int,
 def scan_success_probability(inst: QvmpInstance, max_iters: int,
                              dual: bool = False) -> list[tuple[int, float]]:
     """Exact probability mass on the solution addresses after k iterations,
-    for k = 0..max_iters. In dual mode the tracked set is the matching rows."""
+    for k = 0..max_iters. In dual mode the tracked set is the matching rows.
+    The state is carried across k, so the scan evolves max_iters
+    iterations in all."""
     if max_iters < 1:
         raise ContractError("max_iters must be >= 1")
     tracked = set(inst.solutions)
     if dual:
         tracked = set(range(inst.n)) - tracked
+    # Address qubit i is global qubit i, so marginal index j is address j.
+    address = list(range(inst.address_bits))
+    step = _grover_iteration(inst, dual)
+    state = _evolve(build_grover_state(inst, 0, dual=dual))
     out = []
     for k in range(max_iters + 1):
-        circ = build_grover_state(inst, k, dual=dual)
-        marginal = probabilities(circ, circ.qubits("address"))
-        width = inst.address_bits
-        mass = sum(marginal[format(j, f"0{width}b")] for j in tracked)
-        out.append((k, mass))
+        if k:
+            state = _evolve(step, state)
+        marginal = state.marginal(address)
+        out.append((k, float(sum(marginal[j] for j in tracked))))
     return out
 
 

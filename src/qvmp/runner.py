@@ -31,10 +31,9 @@ from .grover import (
     QvmpInstance,
     build_grover_search,
     build_grover_search_compact,
-    build_grover_state,
     plan_iterations,
 )
-from .simulator import Histogram, probabilities, run
+from .simulator import Histogram, run, run_with_probabilities
 
 __all__ = [
     "ExperimentConfig",
@@ -164,7 +163,8 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
     confirm the candidate classically. The solution count used for
     iteration planning comes from the classical ground truth; with zero
     solutions the trial plans zero iterations, since the address marginal
-    stays uniform anyway.
+    stays uniform anyway. ``metrics`` describes the widest trial (most
+    iterations), including its engine stats under ``engine``.
     """
     n = a.rows
     for mat in (a, b, c):
@@ -196,7 +196,8 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
             t0 = time.perf_counter()
             search = build_grover_search_compact(inst, plan.iterations, dual=dual)
             timings["build"] += time.perf_counter() - t0
-            if not metrics or plan.iterations > metrics["iterations"]:
+            widest = not metrics or plan.iterations > metrics["iterations"]
+            if widest:
                 t0 = time.perf_counter()
                 lowered = circ_mod.lower(search)
                 timings["lower"] += time.perf_counter() - t0
@@ -205,9 +206,12 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
                     "circuit": circ_mod.metrics(search),
                     "lowered": circ_mod.metrics(lowered),
                 }
+            stats = {} if widest else None
             t0 = time.perf_counter()
-            hist = run(search, cfg.shots, shot_seed)
+            hist = run(search, cfg.shots, shot_seed, stats=stats)
             timings["simulate"] += time.perf_counter() - t0
+            if widest:
+                metrics["engine"] = stats
             histograms[f"{bi}/{trial}"] = hist
             j = _candidate_address(hist, n, dual)
             if matvec(a, y)[j] != z[j]:
@@ -271,12 +275,11 @@ def metrics_from_csv(text: str) -> list[dict]:
 
 
 def emit_histogram(inst: QvmpInstance, plan, shots: int, seed: int) -> dict:
-    """Sampled counts and exact probabilities for every address string."""
+    """Sampled counts and exact probabilities for every address string,
+    both from one evolution of the search circuit."""
     dual = plan.mode == "dual"
     search = build_grover_search(inst, plan.iterations, dual=dual)
-    hist = run(search, shots, seed)
-    state = build_grover_state(inst, plan.iterations, dual=dual)
-    exact = probabilities(state, state.qubits("address"))
+    hist, exact = run_with_probabilities(search, shots, seed)
     return {
         "n": inst.n,
         "m": inst.m,

@@ -1,19 +1,37 @@
-"""Dense statevector execution engine.
+"""Statevector execution engine: a sparse state that hands off to dense.
 
 Amplitude index convention: bit q of the index is the value of global
 qubit q, so |q2 q1 q0> = |110> sits at index 6. Histogram keys follow the
 same rule on classical bits: bit 0 is the rightmost character.
 
-Bare X gates are tracked as an index-relabelling frame (an XOR mask over
-amplitude indices) instead of physically permuting memory; the remaining
-kernels take the frame into account through control polarities and a
-conjugated Hadamard variant. The frame is resolved once when amplitudes,
-probabilities or samples leave the engine.
+Every evolution starts on a sparse state: an int64 array of basis indices
+and a float64 array of their amplitudes (the gate set is real). On it a
+fused run of controlled-X gates sharing one control set is a masked index
+XOR, Z and MCZ flip the sign of the matching entries, and H builds both
+branches, merges equal indices by summing them and prunes amplitudes that
+cancelled. Between diffusers every ancilla of a search circuit is a
+function of the address, so its support never exceeds the n addresses
+whatever the register width. A run that stays sparse accepts up to
+``SPARSE_MAX_QUBITS`` (62) qubits, the width of an int64 index.
+
+Once an H leaves more than 2^n / ``_DENSE_FRACTION`` amplitudes, the
+sparse state is scattered into a dense complex128 array of 2^n amplitudes
+and the remaining gates run on the dense kernels, from that gate on. The
+qubit cap (``QVMP_SIM_MAX_QUBITS``, default 26, or ``statevector``'s
+``max_qubits``) bounds dense arrays only: a dense handoff, a
+``statevector`` result or an outcome marginal wider than the cap raises
+ResourceError.
+
+Bare X gates are tracked in both shapes as an index-relabelling frame (an
+XOR mask over amplitude indices) instead of moving amplitudes; the other
+gates take the frame into account through control polarities and a
+conjugated Hadamard. The frame is resolved once, when the evolution ends.
 """
 from __future__ import annotations
 
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -25,24 +43,36 @@ from .errors import ContractError, FormatError, ResourceError
 
 __all__ = [
     "DEFAULT_MAX_QUBITS",
+    "SPARSE_MAX_QUBITS",
     "Statevector",
     "Histogram",
     "statevector",
     "probabilities",
     "run",
+    "run_with_probabilities",
     "use_backend",
     "backend_name",
     "qubit_cap",
 ]
 
 DEFAULT_MAX_QUBITS = 26
+# Indices are int64; 62 qubits keep every index and index | bit positive.
+SPARSE_MAX_QUBITS = 62
+# Hand off to the dense kernels once support exceeds 2^n / _DENSE_FRACTION.
+# A sparse Hadamard sorts and bincounts its entries; on 14-20 qubits it
+# costs as much as a dense sweep at about 2^n / 8 entries.
+_DENSE_FRACTION = 16
+# Merged amplitudes at or below this magnitude are rounding residue of a
+# cancellation and are dropped; their squared sum is the pruned mass.
+_PRUNE_AMPLITUDE = 1e-13
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 _kernels = kernels.active
 
 
 def use_backend(name: str) -> str:
-    """Switch the kernel backend at runtime (used by the benchmark and the
-    backend-parity tests). Returns the name now active."""
+    """Switch the dense kernel backend at runtime (used by the benchmark
+    and the backend-parity tests). Returns the name now active."""
     global _kernels
     _kernels = kernels.load_backend(name)
     return _kernels.NAME
@@ -109,17 +139,99 @@ class Histogram:
         return cls(dict(obj["counts"]), int(obj["shots"]))
 
 
-def _evolve(circuit: Circuit, initial: int, cap: int | None) -> np.ndarray:
-    """Run all unitary gates; returns the true-indexed amplitude array."""
+def _scatter(n: int, index: np.ndarray, amp: np.ndarray, cap: int) -> np.ndarray:
+    """Dense complex128 array holding a sparse state; bounded by the cap."""
+    if n > cap:
+        raise ResourceError(f"dense state of {n} qubits exceeds the cap of {cap}")
+    dense = np.zeros(1 << n, dtype=np.complex128)
+    dense[index] = amp
+    return dense
+
+
+def _marginal(probs: np.ndarray, n: int, qubits: list[int]) -> np.ndarray:
+    """Marginal of a dense distribution over the given qubits; result
+    index bit r is the qubit at ascending rank r of the sorted list."""
+    drop = tuple(n - 1 - q for q in range(n) if q not in set(qubits))
+    reduced = probs.reshape((2,) * n).sum(axis=drop) if drop else probs.reshape((2,) * n)
+    return reduced.reshape(-1)
+
+
+@dataclass
+class _State:
+    """A true-indexed state in one of two shapes: sparse (``index`` and
+    real ``amp`` arrays) or dense (``dense``, complex128 over 2^n)."""
+
+    num_qubits: int
+    index: np.ndarray | None = None
+    amp: np.ndarray | None = None
+    dense: np.ndarray | None = None
+
+    def to_dense(self, cap: int) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense
+        return _scatter(self.num_qubits, self.index, self.amp, cap)
+
+    def marginal(self, ordered: list[int]) -> np.ndarray:
+        """Born probabilities over the ascending qubit list ``ordered``;
+        index bit r is qubit ``ordered[r]``."""
+        k = len(ordered)
+        cap = qubit_cap()
+        if k > cap:
+            raise ResourceError(f"marginal over {k} qubits exceeds the cap of {cap}")
+        if self.dense is not None:
+            return _marginal(np.abs(self.dense) ** 2, self.num_qubits, ordered)
+        outcome = np.zeros(self.index.size, dtype=np.int64)
+        for r, q in enumerate(ordered):
+            outcome |= ((self.index >> q) & 1) << r
+        return np.bincount(outcome, weights=self.amp * self.amp, minlength=1 << k)
+
+
+def _sparse_h(index: np.ndarray, amp: np.ndarray, qubit: int, swapped: bool):
+    """Hadamard on a sparse state: both branches of every entry, merged by
+    index and pruned. ``swapped`` is the X-conjugated form used under a
+    flipped frame bit, as in the dense kernel. Returns the new arrays and
+    the dropped entries' amplitudes."""
+    bit = 1 << qubit
+    scaled = amp * _INV_SQRT2
+    signed = np.where((index & bit) == (0 if swapped else bit), -scaled, scaled)
+    lo, hi = (signed, scaled) if swapped else (scaled, signed)
+    keys, pair = np.unique(index & ~bit, return_inverse=True)
+    merged_index = np.concatenate((keys, keys | bit))
+    merged_amp = np.concatenate((np.bincount(pair, weights=lo, minlength=keys.size),
+                                 np.bincount(pair, weights=hi, minlength=keys.size)))
+    keep = np.abs(merged_amp) > _PRUNE_AMPLITUDE
+    return merged_index[keep], merged_amp[keep], merged_amp[~keep]
+
+
+def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None,
+            stats: dict | None = None) -> _State:
+    """Run all unitary gates on a basis state, or on ``start`` when it is
+    an evolved state of the same width (which is then consumed).
+
+    ``cap`` bounds a dense handoff (default ``qubit_cap()``). ``stats``,
+    when given, receives ``engine`` ("sparse", or "dense" once handed
+    off), ``peak_support`` (most amplitudes held; 2^n when dense) and
+    ``pruned_mass`` (squared amplitudes dropped by pruning).
+    """
     n = circuit.num_qubits
+    if n > SPARSE_MAX_QUBITS:
+        raise ResourceError(
+            f"{n} qubits exceeds the sparse index limit of {SPARSE_MAX_QUBITS} qubits"
+        )
     limit = cap if cap is not None else qubit_cap()
-    if n > limit:
-        raise ResourceError(f"{n} qubits exceeds the cap of {limit}")
-    size = 1 << n
-    if not 0 <= initial < size:
-        raise ContractError(f"initial basis index {initial} out of range")
-    state = np.zeros(size, dtype=np.complex128)
-    state[initial] = 1.0
+    if isinstance(start, _State):
+        if start.num_qubits != n:
+            raise ContractError(f"start state has {start.num_qubits} qubits, circuit {n}")
+        index, amp, dense = start.index, start.amp, start.dense
+    else:
+        if not 0 <= start < (1 << n):
+            raise ContractError(f"initial basis index {start} out of range")
+        index = np.array([start], dtype=np.int64)
+        amp = np.ones(1)
+        dense = None
+    dense_at = (1 << n) // _DENSE_FRACTION
+    peak = (1 << n) if dense is not None else index.size
+    pruned = 0.0
     frame = 0
     gates = circuit.gates
     i = 0
@@ -130,17 +242,33 @@ def _evolve(circuit: Circuit, initial: int, cap: int | None) -> np.ndarray:
             frame ^= 1 << g.targets[0]
         elif kind == H:
             q = g.targets[0]
-            _kernels.apply_h(state, q, bool((frame >> q) & 1))
-        elif kind == Z:
-            bit = 1 << g.targets[0]
-            _kernels.apply_phase(state, bit, bit & ~frame)
+            swapped = bool((frame >> q) & 1)
+            if dense is not None:
+                _kernels.apply_h(dense, q, swapped)
+            else:
+                index, amp, dropped = _sparse_h(index, amp, q, swapped)
+                if stats is not None:
+                    pruned += float(dropped @ dropped)
+                    peak = max(peak, index.size)
+                if index.size > dense_at:
+                    dense = _scatter(n, index, amp, limit)
+                    index = amp = None
+                    peak = 1 << n
+        elif kind in (Z, MCZ):
+            mask = 1 << g.targets[0]
+            for c in g.controls:
+                mask |= 1 << c
+            if dense is not None:
+                _kernels.apply_phase(dense, mask, mask & ~frame)
+            else:
+                amp[(index & mask) == (mask & ~frame)] *= -1.0
         elif kind in (CX, CCX, MCX):
             cmask = 0
             for c in g.controls:
                 cmask |= 1 << c
             # Fuse runs of controlled-X gates sharing one control set
             # (each table-lookup chunk emits such a run): the joint action
-            # pairs s with s ^ tmask, one sweep instead of one per gate.
+            # pairs s with s ^ tmask, one pass instead of one per gate.
             tmask = 1 << g.targets[0]
             while i + 1 < len(gates) and gates[i + 1].kind in (CX, CCX, MCX):
                 nxt = gates[i + 1]
@@ -152,95 +280,120 @@ def _evolve(circuit: Circuit, initial: int, cap: int | None) -> np.ndarray:
                 tmask ^= 1 << nxt.targets[0]
                 i += 1
             if tmask:
-                _kernels.apply_mcx(state, tmask, cmask, cmask & ~frame)
-        elif kind == MCZ:
-            mask = 1 << g.targets[0]
-            for c in g.controls:
-                mask |= 1 << c
-            _kernels.apply_phase(state, mask, mask & ~frame)
+                if dense is not None:
+                    _kernels.apply_mcx(dense, tmask, cmask, cmask & ~frame)
+                else:
+                    index[(index & cmask) == (cmask & ~frame)] ^= tmask
         elif kind == MEASURE:
             pass  # terminal; sampling happens on the final state
         else:  # pragma: no cover - KINDS is closed
             raise ContractError(f"cannot simulate {kind}")
         i += 1
+    if stats is not None:
+        stats.update(engine="sparse" if dense is None else "dense",
+                     peak_support=int(peak), pruned_mass=pruned)
+    if dense is not None:
+        if frame:
+            dense = dense[np.arange(1 << n) ^ frame]
+        return _State(n, dense=dense)
     if frame:
-        state = state[np.arange(size) ^ frame]
-    return state
+        index ^= frame
+    return _State(n, index=index, amp=amp)
 
 
 def statevector(circuit: Circuit, initial: int = 0, *, max_qubits: int | None = None) -> Statevector:
-    """Exact amplitudes of the circuit applied to a basis state."""
+    """Exact amplitudes of the circuit applied to a basis state, as a dense
+    complex128 array; ``max_qubits`` (default ``qubit_cap()``) bounds it."""
     if circuit.has_measurement():
         raise ContractError("statevector of a circuit with measurement")
-    return Statevector(circuit.num_qubits, _evolve(circuit, initial, max_qubits))
-
-
-def _marginal(probs: np.ndarray, n: int, qubits: list[int]) -> np.ndarray:
-    """Marginal over the given qubits; result index bit r is the qubit at
-    ascending rank r of the sorted qubit list."""
-    drop = tuple(n - 1 - q for q in range(n) if q not in set(qubits))
-    reduced = probs.reshape((2,) * n).sum(axis=drop) if drop else probs.reshape((2,) * n)
-    return reduced.reshape(-1)
-
-
-def probabilities(circuit: Circuit, qubits=None) -> dict[str, float]:
-    """Exact Born probabilities, marginalized onto the named qubits.
-
-    Key convention: the i-th listed qubit is bit i of the key, i.e. the
-    rightmost character belongs to the first qubit in the list.
-    """
-    if circuit.has_measurement():
-        raise ContractError("probabilities of a circuit with measurement")
     n = circuit.num_qubits
-    if qubits is None:
-        chosen = list(range(n))
-    else:
-        chosen = [circuit._resolve(q) for q in qubits]
-    if len(set(chosen)) != len(chosen):
-        raise ContractError("duplicate qubit in marginal")
-    state = _evolve(circuit, 0, None)
-    probs = np.abs(state) ** 2
-    k = len(chosen)
-    ordered = sorted(chosen)
-    marg = _marginal(probs, n, ordered)
-    rank = {q: r for r, q in enumerate(ordered)}
-    out: dict[str, float] = {}
-    for v in range(1 << k):
-        key_val = 0
-        for i, q in enumerate(chosen):
-            key_val |= ((v >> rank[q]) & 1) << i
-        out[format(key_val, f"0{k}b")] = float(marg[v])
+    limit = max_qubits if max_qubits is not None else qubit_cap()
+    if n > limit:
+        raise ResourceError(f"{n} qubits exceeds the cap of {limit}")
+    state = _evolve(circuit, initial, cap=limit)
+    return Statevector(n, state.to_dense(limit))
+
+
+def _outcome_keys(values, pairs: list[tuple[int, int]], width: int) -> list[str]:
+    """Key of each outcome index of a marginal over the sorted qubits of
+    ``pairs``; ``pairs`` maps each qubit to its bit in the key."""
+    rank = {q: r for r, q in enumerate(sorted(q for q, _ in pairs))}
+    keys = []
+    for v in values:
+        bits = 0
+        for q, kbit in pairs:
+            bits |= ((v >> rank[q]) & 1) << kbit
+        keys.append(format(bits, f"0{width}b"))
+    return keys
+
+
+def _tally(keys: list[str], weights: list) -> dict:
+    out: dict = {}
+    for key, w in zip(keys, weights):
+        out[key] = out.get(key, 0) + w
     return out
 
 
-def run(circuit: Circuit, shots: int, seed: int) -> Histogram:
-    """Evolve once, then draw shots from the Born distribution on the
-    measured qubits via a single inverse-CDF pass. Deterministic per seed."""
-    measured = circuit.measured_qubits()
-    if not measured:
-        raise ContractError("run() needs a circuit that ends in measurement")
-    if shots < 1:
-        raise ContractError("shots must be >= 1")
-    n = circuit.num_qubits
-    state = _evolve(circuit, 0, None)
-    probs = np.abs(state) ** 2
-    qubits = [q for q, _ in measured]
-    ordered = sorted(qubits)
-    marg = _marginal(probs, n, ordered)
+def _sample(marg: np.ndarray, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw shots from a marginal by one inverse-CDF pass; returns the
+    distinct outcomes and their frequencies. Deterministic per seed."""
     marg = np.maximum(marg, 0.0)
     cdf = np.cumsum(marg)
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     draws = np.searchsorted(cdf, rng.random(shots), side="right")
     draws = np.minimum(draws, marg.size - 1)
-    values, freq = np.unique(draws, return_counts=True)
-    rank = {q: r for r, q in enumerate(ordered)}
+    return np.unique(draws, return_counts=True)
+
+
+def probabilities(circuit: Circuit, qubits=None, *, stats: dict | None = None) -> dict[str, float]:
+    """Exact Born probabilities, marginalized onto the named qubits.
+
+    Key convention: the i-th listed qubit is bit i of the key, i.e. the
+    rightmost character belongs to the first qubit in the list. ``stats``
+    is filled as ``_evolve`` describes.
+    """
+    if circuit.has_measurement():
+        raise ContractError("probabilities of a circuit with measurement")
+    if qubits is None:
+        chosen = list(range(circuit.num_qubits))
+    else:
+        chosen = [circuit._resolve(q) for q in qubits]
+    if len(set(chosen)) != len(chosen):
+        raise ContractError("duplicate qubit in marginal")
+    marg = _evolve(circuit, stats=stats).marginal(sorted(chosen))
+    pairs = [(q, i) for i, q in enumerate(chosen)]
+    return dict(zip(_outcome_keys(range(marg.size), pairs, len(chosen)), marg.tolist()))
+
+
+def _measured_marginal(circuit: Circuit, shots: int, stats: dict | None):
+    measured = circuit.measured_qubits()
+    if not measured:
+        raise ContractError("run() needs a circuit that ends in measurement")
+    if shots < 1:
+        raise ContractError("shots must be >= 1")
+    marg = _evolve(circuit, stats=stats).marginal(sorted(q for q, _ in measured))
+    return marg, measured
+
+
+def _histogram(marg: np.ndarray, measured: list[tuple[int, int]], width: int,
+               shots: int, seed: int) -> Histogram:
+    values, freq = _sample(marg, shots, seed)
+    return Histogram(_tally(_outcome_keys(values.tolist(), measured, width), freq.tolist()), shots)
+
+
+def run(circuit: Circuit, shots: int, seed: int, *, stats: dict | None = None) -> Histogram:
+    """Evolve once, then draw shots from the Born distribution on the
+    measured qubits via a single inverse-CDF pass. Deterministic per seed.
+    ``stats`` is filled as ``_evolve`` describes."""
+    marg, measured = _measured_marginal(circuit, shots, stats)
+    return _histogram(marg, measured, circuit.classical_bits, shots, seed)
+
+
+def run_with_probabilities(circuit: Circuit, shots: int, seed: int) -> tuple[Histogram, dict[str, float]]:
+    """``run`` together with the exact probability of every outcome of the
+    measured qubits, keyed like the histogram, both from one evolution."""
+    marg, measured = _measured_marginal(circuit, shots, None)
     width = circuit.classical_bits
-    counts: dict[str, int] = {}
-    for v, c in zip(values, freq):
-        bits = 0
-        for q, cbit in measured:
-            bits |= ((int(v) >> rank[q]) & 1) << cbit
-        key = format(bits, f"0{width}b")
-        counts[key] = counts.get(key, 0) + int(c)
-    return Histogram(counts, shots)
+    exact = _tally(_outcome_keys(range(marg.size), measured, width), marg.tolist())
+    return _histogram(marg, measured, width, shots, seed), exact

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qvmp.bitlinalg import format_matrix, matmul, random_matrix
+from qvmp.bitlinalg import BitMatrix, format_matrix, matmul, random_matrix
 from qvmp.cli import main
 from qvmp.runner import histogram_from_csv, metrics_from_csv
 
@@ -38,6 +38,24 @@ class TestVerifyCommand:
         obj = json.loads(out.read_text())
         assert obj["decision"] == "consistent"
         assert obj["witness"] is None
+
+    def test_inconsistent_n32_exit_one(self, tmp_path, capsys):
+        import random
+
+        rng = random.Random(7)
+        a = random_matrix(32, 32, rng)
+        b = random_matrix(32, 32, rng)
+        c = matmul(a, b)
+        row, col = rng.randrange(32), rng.randrange(32)
+        words = list(c.row_words)
+        words[row] ^= 1 << col
+        paths = []
+        for name, m in [("a", a), ("b", b), ("c", BitMatrix(32, 32, tuple(words)))]:
+            p = tmp_path / f"{name}.txt"
+            p.write_text(format_matrix(m))
+            paths.append(str(p))
+        assert main(["verify", *paths, "--trials", "8", "--seed", "7"]) == 1
+        assert f"inconsistent: block {col // 8}, row {row}" in capsys.readouterr().out
 
     def test_missing_file_exit_two(self, tmp_path):
         ghost = str(tmp_path / "ghost.txt")

@@ -441,6 +441,21 @@ class TestScan:
         for k in range(3):
             assert abs(scan[k] - closed_form(8, 3, k)) < 1e-9
 
+    def test_state_carried_across_iterations(self, monkeypatch):
+        import qvmp.grover as grover
+
+        inst = make_instance(8, 3, {1, 6}, seed=24)
+        calls = []
+        evolve = grover._evolve
+        monkeypatch.setattr(grover, "_evolve", lambda *a, **k: calls.append(1) or evolve(*a, **k))
+        scan = scan_success_probability(inst, 4)
+        # one preparation plus one (oracle, diffuser) step per k >= 1
+        assert len(calls) == 5
+        for k, p in scan:
+            circ = build_grover_state(inst, k)
+            marginal = probabilities(circ, circ.qubits("address"))
+            assert abs(p - sum(marginal[format(j, "03b")] for j in (1, 6))) < 1e-12
+
     def test_requires_positive_max(self):
         inst = make_instance(4, 2, {0}, seed=23)
         with pytest.raises(ContractError):

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from qvmp.bitlinalg import BitMatrix, format_matrix, matmul, random_matrix
-from qvmp.errors import ContractError, DimensionError
-from qvmp.grover import plan_iterations
+import qvmp.simulator as simulator
+from qvmp.errors import ContractError, DimensionError, ResourceError
+from qvmp.grover import build_grover_search, build_grover_search_compact, plan_iterations
 from qvmp.runner import (
     DEFAULT_METRICS_GRID,
     ExperimentConfig,
@@ -19,7 +20,7 @@ from qvmp.runner import (
     metrics_to_csv,
     qvmp_verify,
 )
-from qvmp.simulator import Histogram
+from qvmp.simulator import Histogram, run
 
 
 def flipped_product(n, seed, row=None, col=None):
@@ -137,6 +138,26 @@ class TestVerify:
         assert set(report.timings) == {"build", "lower", "simulate"}
         assert report.metrics["circuit"]["qubits"] >= 3
         assert all(h.shots == 128 for h in report.histograms.values())
+        engine = report.metrics["engine"]
+        assert engine["engine"] == "sparse"
+        assert engine["peak_support"] <= 8
+        assert engine["pruned_mass"] <= 1e-12
+
+    def test_single_flip_n32(self):
+        # The 38-qubit compact circuit stays sparse, far above the dense cap.
+        a, b, _, bad, row, col = flipped_product(32, seed=7)
+        cfg = ExperimentConfig(n=32, m=32, mismatches=0, shots=1024, seed=7, trials=8)
+        report = qvmp_verify(a, b, bad, cfg)
+        assert report.decision == "inconsistent"
+        assert report.witness == (col // 8, row)
+        assert report.metrics["circuit"]["qubits"] == 38
+
+    def test_compact_64_exceeds_sparse_index_limit(self):
+        inst = generate_instance(64, 64, 1, seed=0)
+        search = build_grover_search_compact(inst, 1)
+        assert search.num_qubits == 71
+        with pytest.raises(ResourceError, match="sparse index limit"):
+            run(search, 16, seed=0)
 
     def test_qvmp_mode(self):
         a, b, _, bad, row, col = flipped_product(8, seed=21, row=2, col=3)
@@ -236,6 +257,18 @@ class TestHistogramEmission:
         parsed = histogram_from_csv(histogram_to_csv(payload))
         assert parsed["counts"] == payload["counts"]
         assert parsed["probabilities"] == payload["probabilities"]
+
+    def test_one_evolution_matches_run(self, monkeypatch):
+        inst = generate_instance(8, 4, 2, seed=4)
+        plan = plan_iterations(8, 2, "optimal")
+        expected = run(build_grover_search(inst, plan.iterations), 512, seed=9).counts
+        calls = []
+        evolve = simulator._evolve
+        monkeypatch.setattr(simulator, "_evolve", lambda *a, **k: calls.append(1) or evolve(*a, **k))
+        payload = emit_histogram(inst, plan, shots=512, seed=9)
+        assert len(calls) == 1
+        assert payload["counts"] == expected
+        assert set(payload["probabilities"]) == {format(j, "03b") for j in range(8)}
 
     def test_solution_mass_sampled(self):
         inst = generate_instance(8, 8, (2, 5, 7), seed=0)

@@ -3,12 +3,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvmp.circuit import Circuit
 from qvmp.errors import ContractError, FormatError, ResourceError
+from qvmp.grover import build_grover_search, build_grover_search_compact, plan_iterations
 from qvmp.kernels import available_backends
+from qvmp.runner import generate_instance
 from qvmp.simulator import (
+    SPARSE_MAX_QUBITS,
     Histogram,
+    _evolve,
     backend_name,
     probabilities,
     run,
@@ -26,11 +32,12 @@ def bell_circuit(classical=0):
     return c
 
 
-def random_circuit(num_qubits, num_gates, rng):
+GATE_KINDS = ("x", "h", "z", "cx", "ccx", "mcx", "mcz")
+
+
+def circuit_from(num_qubits, gates):
     c = Circuit((("q", num_qubits),))
-    for _ in range(num_gates):
-        kind = rng.choice(["x", "h", "z", "cx", "ccx", "mcx", "mcz"])
-        order = rng.sample(range(num_qubits), num_qubits)
+    for kind, order in gates:
         if kind in ("x", "h", "z"):
             getattr(c, kind)(order[0])
         elif kind == "cx":
@@ -42,6 +49,131 @@ def random_circuit(num_qubits, num_gates, rng):
         else:
             c.mcz(order[:2], order[2])
     return c
+
+
+def random_circuit(num_qubits, num_gates, rng):
+    gates = []
+    for _ in range(num_gates):
+        kind = rng.choice(GATE_KINDS)
+        gates.append((kind, rng.sample(range(num_qubits), num_qubits)))
+    return circuit_from(num_qubits, gates)
+
+
+def reference_amplitudes(circuit, initial):
+    """Gate-by-gate dense evolution by explicit index arithmetic, sharing
+    no code with the engine."""
+    idx = np.arange(1 << circuit.num_qubits)
+    psi = np.zeros(idx.size)
+    psi[initial] = 1.0
+    for g in circuit.gates:
+        t = 1 << g.targets[0]
+        cmask = sum(1 << c for c in g.controls)
+        on = (idx & cmask) == cmask
+        if g.kind == "h":
+            lo, hi = psi[idx & ~t], psi[idx | t]
+            psi = np.where(idx & t, lo - hi, lo + hi) * INV_SQRT2
+        elif g.kind in ("x", "cx", "ccx", "mcx"):
+            psi = np.where(on, psi[idx ^ t], psi)
+        else:  # z, mcz
+            psi = np.where(on & ((idx & t) != 0), -psi, psi)
+    return psi
+
+
+@st.composite
+def gate_lists(draw, num_qubits, max_gates):
+    """(kind, qubit order) pairs for ``random_circuit``'s gate rule."""
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(GATE_KINDS))
+        gates.append((kind, draw(st.permutations(range(num_qubits)))))
+    return gates
+
+
+def evolved_amplitudes(circuit, initial):
+    stats = {}
+    dense = _evolve(circuit, initial, stats=stats).to_dense(circuit.num_qubits)
+    return dense, stats
+
+
+class TestSparseEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_dense_reference(self, data):
+        n = data.draw(st.integers(4, 9))
+        c = circuit_from(n, data.draw(gate_lists(n, 40)))
+        initial = data.draw(st.integers(0, (1 << n) - 1))
+        amps, stats = evolved_amplitudes(c, initial)
+        assert np.max(np.abs(amps - reference_amplitudes(c, initial))) < 1e-12
+        assert stats["pruned_mass"] <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dense_handoff_midway(self, data):
+        # An H layer lifts support to 2^n, past the handoff fraction; the
+        # random gates around it run sparse before and dense after.
+        n = data.draw(st.integers(4, 8))
+        before = data.draw(gate_lists(n, 20))
+        after = data.draw(gate_lists(n, 20))
+        c = circuit_from(n, before + [("h", [q] + [p for p in range(n) if p != q])
+                                      for q in range(n)] + after)
+        initial = data.draw(st.integers(0, (1 << n) - 1))
+        amps, stats = evolved_amplitudes(c, initial)
+        assert stats["engine"] == "dense"
+        assert stats["peak_support"] == 1 << n
+        assert np.max(np.abs(amps - reference_amplitudes(c, initial))) < 1e-12
+
+    def test_few_hadamards_stay_sparse(self):
+        c = Circuit((("q", 12),))
+        c.h(3)
+        c.cx(3, 11)
+        c.x(5)
+        c.h(5)
+        c.mcz([3, 5], 11)
+        amps, stats = evolved_amplitudes(c, 6)
+        assert stats == {"engine": "sparse", "peak_support": 4, "pruned_mass": 0.0}
+        assert np.max(np.abs(amps - reference_amplitudes(c, 6))) < 1e-12
+
+    @pytest.mark.parametrize("n,m", [(4, 4), (8, 8), (16, 16)])
+    @pytest.mark.parametrize("builder", [build_grover_search_compact, build_grover_search])
+    def test_search_circuits_prune_nothing(self, n, m, builder):
+        inst = generate_instance(n, m, 1, seed=n)
+        plan = plan_iterations(n, 1, "optimal")
+        stats = {}
+        run(builder(inst, plan.iterations), 256, seed=0, stats=stats)
+        assert stats["engine"] == "sparse"
+        assert stats["peak_support"] <= n
+        assert stats["pruned_mass"] <= 1e-12
+
+    def test_probabilities_fill_stats(self):
+        stats = {}
+        probabilities(bell_circuit(), stats=stats)
+        assert stats["engine"] == "dense"
+        assert stats["peak_support"] == 4
+
+    def test_sparse_run_is_not_bounded_by_the_cap(self, monkeypatch):
+        monkeypatch.setenv("QVMP_SIM_MAX_QUBITS", "4")
+        c = Circuit((("q", 40),), classical_bits=2)
+        c.h(0)
+        c.cx(0, 39)
+        c.measure(0, 0)
+        c.measure(39, 1)
+        hist = run(c, 100, seed=0)
+        assert set(hist.counts) == {"00", "11"}
+
+    def test_dense_handoff_above_cap_raises(self, monkeypatch):
+        monkeypatch.setenv("QVMP_SIM_MAX_QUBITS", "6")
+        c = Circuit((("q", 8),), classical_bits=1)
+        for q in range(8):
+            c.h(q)
+        c.measure(0, 0)
+        with pytest.raises(ResourceError, match="cap of 6"):
+            run(c, 10, seed=0)
+
+    def test_sparse_index_limit(self):
+        c = Circuit((("q", SPARSE_MAX_QUBITS + 1),), classical_bits=1)
+        c.measure(0, 0)
+        with pytest.raises(ResourceError, match="sparse index limit"):
+            run(c, 10, seed=0)
 
 
 class TestStatevector:
