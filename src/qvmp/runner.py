@@ -33,7 +33,7 @@ from .grover import (
     build_grover_search_compact,
     plan_iterations,
 )
-from .simulator import Histogram, run, run_with_probabilities
+from .simulator import Histogram, _run, run
 
 __all__ = [
     "ExperimentConfig",
@@ -279,7 +279,7 @@ def emit_histogram(inst: QvmpInstance, plan, shots: int, seed: int) -> dict:
     both from one evolution of the search circuit."""
     dual = plan.mode == "dual"
     search = build_grover_search(inst, plan.iterations, dual=dual)
-    hist, exact = run_with_probabilities(search, shots, seed)
+    hist, exact = _run(search, shots, seed, with_exact=True)
     return {
         "n": inst.n,
         "m": inst.m,

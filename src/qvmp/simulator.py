@@ -18,9 +18,10 @@ Once an H leaves more than 2^n / ``_DENSE_FRACTION`` amplitudes, the
 sparse state is scattered into a dense complex128 array of 2^n amplitudes
 and the remaining gates run on the dense kernels, from that gate on. The
 qubit cap (``QVMP_SIM_MAX_QUBITS``, default 26, or ``statevector``'s
-``max_qubits``) bounds dense arrays only: a dense handoff, a
-``statevector`` result or an outcome marginal wider than the cap raises
-ResourceError.
+``max_qubits``) bounds the amplitudes held in either shape: a dense
+handoff, a ``statevector`` result or an outcome marginal wider than the
+cap raises ResourceError, and so does a sparse state of more than 2^cap
+entries, since a circuit wider than the cap cannot hand off.
 
 Bare X gates are tracked in both shapes as an index-relabelling frame (an
 XOR mask over amplitude indices) instead of moving amplitudes; the other
@@ -49,7 +50,6 @@ __all__ = [
     "statevector",
     "probabilities",
     "run",
-    "run_with_probabilities",
     "use_backend",
     "backend_name",
     "qubit_cap",
@@ -59,9 +59,11 @@ DEFAULT_MAX_QUBITS = 26
 # Indices are int64; 62 qubits keep every index and index | bit positive.
 SPARSE_MAX_QUBITS = 62
 # Hand off to the dense kernels once support exceeds 2^n / _DENSE_FRACTION.
-# A sparse Hadamard sorts and bincounts its entries; on 14-20 qubits it
-# costs as much as a dense sweep at about 2^n / 8 entries.
-_DENSE_FRACTION = 16
+# benchmarks/bench_handoff.py puts the per-gate crossover against the NumPy
+# kernels at 2^n/8 for H (which sorts and bincounts its entries) and 2^n/4
+# for controlled-X and phase gates on 14-20 qubits; handing off at 2^n/8
+# evolves its growing-support circuits fastest or within noise of it.
+_DENSE_FRACTION = 8
 # Merged amplitudes at or below this magnitude are rounding residue of a
 # cancellation and are dropped; their squared sum is the pruned mass.
 _PRUNE_AMPLITUDE = 1e-13
@@ -229,7 +231,10 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
         index = np.array([start], dtype=np.int64)
         amp = np.ones(1)
         dense = None
-    dense_at = (1 << n) // _DENSE_FRACTION
+    # A sparse entry (index + amplitude) is 16 bytes, as is a dense one, so
+    # the cap bounds the support too: past 2^limit a state wider than the
+    # cap needs a handoff that _scatter refuses.
+    dense_at = min((1 << n) // _DENSE_FRACTION, 1 << limit)
     peak = (1 << n) if dense is not None else index.size
     pruned = 0.0
     frame = 0
@@ -327,13 +332,6 @@ def _outcome_keys(values, pairs: list[tuple[int, int]], width: int) -> list[str]
     return keys
 
 
-def _tally(keys: list[str], weights: list) -> dict:
-    out: dict = {}
-    for key, w in zip(keys, weights):
-        out[key] = out.get(key, 0) + w
-    return out
-
-
 def _sample(marg: np.ndarray, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw shots from a marginal by one inverse-CDF pass; returns the
     distinct outcomes and their frequencies. Deterministic per seed."""
@@ -366,34 +364,32 @@ def probabilities(circuit: Circuit, qubits=None, *, stats: dict | None = None) -
     return dict(zip(_outcome_keys(range(marg.size), pairs, len(chosen)), marg.tolist()))
 
 
-def _measured_marginal(circuit: Circuit, shots: int, stats: dict | None):
+def run(circuit: Circuit, shots: int, seed: int, *, stats: dict | None = None) -> Histogram:
+    """Evolve once, then draw shots from the Born distribution on the
+    measured qubits via a single inverse-CDF pass. Deterministic per seed.
+    ``stats`` is filled as ``_evolve`` describes."""
+    return _run(circuit, shots, seed, stats)[0]
+
+
+def _run(circuit: Circuit, shots: int, seed: int, stats: dict | None = None,
+         with_exact: bool = False) -> tuple[Histogram, dict[str, float] | None]:
+    """``run``; with ``with_exact``, also the exact probability of every
+    outcome of the measured qubits, keyed like the histogram and taken from
+    the same evolution (else None)."""
     measured = circuit.measured_qubits()
     if not measured:
         raise ContractError("run() needs a circuit that ends in measurement")
     if shots < 1:
         raise ContractError("shots must be >= 1")
     marg = _evolve(circuit, stats=stats).marginal(sorted(q for q, _ in measured))
-    return marg, measured
-
-
-def _histogram(marg: np.ndarray, measured: list[tuple[int, int]], width: int,
-               shots: int, seed: int) -> Histogram:
-    values, freq = _sample(marg, shots, seed)
-    return Histogram(_tally(_outcome_keys(values.tolist(), measured, width), freq.tolist()), shots)
-
-
-def run(circuit: Circuit, shots: int, seed: int, *, stats: dict | None = None) -> Histogram:
-    """Evolve once, then draw shots from the Born distribution on the
-    measured qubits via a single inverse-CDF pass. Deterministic per seed.
-    ``stats`` is filled as ``_evolve`` describes."""
-    marg, measured = _measured_marginal(circuit, shots, stats)
-    return _histogram(marg, measured, circuit.classical_bits, shots, seed)
-
-
-def run_with_probabilities(circuit: Circuit, shots: int, seed: int) -> tuple[Histogram, dict[str, float]]:
-    """``run`` together with the exact probability of every outcome of the
-    measured qubits, keyed like the histogram, both from one evolution."""
-    marg, measured = _measured_marginal(circuit, shots, None)
     width = circuit.classical_bits
-    exact = _tally(_outcome_keys(range(marg.size), measured, width), marg.tolist())
-    return _histogram(marg, measured, width, shots, seed), exact
+    values, freq = _sample(marg, shots, seed)
+    counts: dict[str, int] = {}
+    for key, c in zip(_outcome_keys(values.tolist(), measured, width), freq.tolist()):
+        counts[key] = counts.get(key, 0) + c
+    exact = None
+    if with_exact:
+        exact = {}
+        for key, p in zip(_outcome_keys(range(marg.size), measured, width), marg.tolist()):
+            exact[key] = exact.get(key, 0.0) + p
+    return Histogram(counts, shots), exact

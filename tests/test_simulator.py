@@ -80,11 +80,11 @@ def reference_amplitudes(circuit, initial):
 
 
 @st.composite
-def gate_lists(draw, num_qubits, max_gates):
+def gate_lists(draw, num_qubits, max_gates, kinds=GATE_KINDS):
     """(kind, qubit order) pairs for ``random_circuit``'s gate rule."""
     gates = []
     for _ in range(draw(st.integers(0, max_gates))):
-        kind = draw(st.sampled_from(GATE_KINDS))
+        kind = draw(st.sampled_from(kinds))
         gates.append((kind, draw(st.permutations(range(num_qubits)))))
     return gates
 
@@ -109,10 +109,12 @@ class TestSparseEngine:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_dense_handoff_midway(self, data):
-        # An H layer lifts support to 2^n, past the handoff fraction; the
-        # random gates around it run sparse before and dense after.
+        # Without H the gates before the layer keep the support at one
+        # basis state, which an H on every qubit spreads over all 2^n
+        # indices, past the handoff fraction. So the random gates run
+        # sparse before the layer and dense after it.
         n = data.draw(st.integers(4, 8))
-        before = data.draw(gate_lists(n, 20))
+        before = data.draw(gate_lists(n, 20, tuple(k for k in GATE_KINDS if k != "h")))
         after = data.draw(gate_lists(n, 20))
         c = circuit_from(n, before + [("h", [q] + [p for p in range(n) if p != q])
                                       for q in range(n)] + after)
@@ -163,6 +165,16 @@ class TestSparseEngine:
     def test_dense_handoff_above_cap_raises(self, monkeypatch):
         monkeypatch.setenv("QVMP_SIM_MAX_QUBITS", "6")
         c = Circuit((("q", 8),), classical_bits=1)
+        for q in range(8):
+            c.h(q)
+        c.measure(0, 0)
+        with pytest.raises(ResourceError, match="cap of 6"):
+            run(c, 10, seed=0)
+
+    def test_sparse_support_above_cap_raises(self, monkeypatch):
+        # 2^8 entries on 40 qubits: more than the cap allows in either shape.
+        monkeypatch.setenv("QVMP_SIM_MAX_QUBITS", "6")
+        c = Circuit((("q", 40),), classical_bits=1)
         for q in range(8):
             c.h(q)
         c.measure(0, 0)
