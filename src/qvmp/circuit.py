@@ -70,6 +70,7 @@ class Circuit:
         self.gates: list[Gate] = []
         self._frozen = False
         self._measured: set[int] = set()
+        self._widths: dict[str, int] = dict(self.registers)
         self._offsets: dict[str, int] = {}
         off = 0
         for name, width in self.registers:
@@ -84,13 +85,12 @@ class Circuit:
 
     def qubit(self, register: str, index: int) -> QubitRef:
         off = self._offsets[register]
-        width = dict(self.registers)[register]
-        if not 0 <= index < width:
+        if not 0 <= index < self._widths[register]:
             raise CompositionError(f"{register}[{index}] out of range")
         return QubitRef(register, index, off + index)
 
     def qubits(self, register: str) -> list[QubitRef]:
-        return [self.qubit(register, i) for i in range(dict(self.registers)[register])]
+        return [self.qubit(register, i) for i in range(self._widths[register])]
 
     def _resolve(self, q) -> int:
         g = q.global_index if isinstance(q, QubitRef) else int(q)
@@ -126,6 +126,57 @@ class Circuit:
                 raise ContractError("measure needs a declared classical bit")
             self._measured.add(gate.targets[0])
         self.gates.append(gate)
+
+    def extend(self, other: Circuit, mapping: Sequence | None = None) -> None:
+        """Append ``other``'s gates in place, mapped onto this circuit's qubits.
+
+        ``mapping`` lists, for each of ``other``'s qubits in global order,
+        the qubit here (QubitRef or global index); ``None`` maps identically
+        and requires equal widths. ``other``'s gates passed ``append``'s
+        checks already and a distinct mapping keeps them valid, so only the
+        table and the contracts that depend on this circuit are checked:
+        frozen, gates after measurement, declared classical bits. Nothing
+        is appended when a check fails.
+        """
+        if self._frozen:
+            raise ContractError("circuit is frozen")
+        if mapping is None:
+            if self.num_qubits != other.num_qubits:
+                raise CompositionError(
+                    f"width mismatch: {self.num_qubits} vs {other.num_qubits} qubits"
+                )
+            table = list(range(other.num_qubits))
+        else:
+            try:
+                table = [self._resolve(q) for q in mapping]
+            except ContractError as e:
+                raise CompositionError(str(e)) from e
+            if len(table) != other.num_qubits:
+                raise CompositionError(
+                    f"mapping covers {len(table)} of {other.num_qubits} qubits"
+                )
+            if len(set(table)) != len(table):
+                raise CompositionError("mapping collision: target qubits must be distinct")
+        # other's qubits that land on a qubit measured here
+        blocked = {q for q, target in enumerate(table) if target in self._measured}
+        if blocked:
+            for g in other.gates:
+                for q in g.qubits():
+                    if q in blocked:
+                        raise ContractError(f"gate after measurement on qubit {table[q]}")
+        if other._measured:
+            for g in other.gates:
+                if g.kind == MEASURE and not g.classical < self.classical_bits:
+                    raise ContractError("measure needs a declared classical bit")
+        if all(q == i for i, q in enumerate(table)):
+            self.gates.extend(other.gates)
+        else:
+            self.gates.extend([
+                Gate(g.kind, tuple([table[q] for q in g.controls]),
+                     tuple([table[q] for q in g.targets]), g.classical)
+                for g in other.gates
+            ])
+        self._measured.update([table[q] for q in other._measured])
 
     def x(self, q) -> None:
         self.append(Gate(X, (), (self._resolve(q),)))
@@ -181,47 +232,14 @@ class Circuit:
         return len(self.gates)
 
 
-def _copy_structure(c: Circuit) -> Circuit:
-    return Circuit(c.registers, c.classical_bits)
-
-
 def compose(a: Circuit, b: Circuit, mapping: Sequence | None = None) -> Circuit:
-    """Concatenate: gates of ``a`` followed by the gates of ``b`` mapped
-    onto ``a``'s qubits.
-
-    ``mapping`` lists, for each of ``b``'s qubits in global order, the
-    target qubit in ``a`` (QubitRef or global index). ``None`` maps
-    identically and requires equal widths.
-    """
-    if mapping is None:
-        if a.num_qubits != b.num_qubits:
-            raise CompositionError(
-                f"width mismatch: {a.num_qubits} vs {b.num_qubits} qubits"
-            )
-        table = list(range(b.num_qubits))
-    else:
-        try:
-            table = [a._resolve(q) for q in mapping]
-        except ContractError as e:
-            raise CompositionError(str(e)) from e
-        if len(table) != b.num_qubits:
-            raise CompositionError(
-                f"mapping covers {len(table)} of {b.num_qubits} qubits"
-            )
-        if len(set(table)) != len(table):
-            raise CompositionError("mapping collision: target qubits must be distinct")
+    """Concatenate: a copy of ``a`` extended by ``b``'s gates mapped onto
+    ``a``'s qubits, as ``Circuit.extend`` describes. The copy declares the
+    larger of the two classical bit counts."""
     out = Circuit(a.registers, max(a.classical_bits, b.classical_bits))
-    for g in a.gates:
-        out.append(g)
-    for g in b.gates:
-        out.append(
-            Gate(
-                g.kind,
-                tuple(table[q] for q in g.controls),
-                tuple(table[q] for q in g.targets),
-                g.classical,
-            )
-        )
+    out.gates = list(a.gates)
+    out._measured = set(a._measured)
+    out.extend(b, mapping)
     return out
 
 
@@ -229,22 +247,27 @@ def inverse(c: Circuit) -> Circuit:
     """Reverse the gate order; every supported unitary is self-inverse."""
     if c.has_measurement():
         raise InversionError("cannot invert a circuit containing measurement")
-    out = _copy_structure(c)
-    for g in reversed(c.gates):
-        out.append(g)
+    out = Circuit(c.registers, c.classical_bits)
+    out.gates = c.gates[::-1]
     return out
 
 
 def depth(c: Circuit) -> int:
     """Greedy layering: each gate sits one layer after the deepest earlier
     gate sharing any of its qubits. Measurement counts as a gate."""
-    level: dict[int, int] = {}
+    level = [0] * c.num_qubits
     best = 0
     for g in c.gates:
-        layer = 1 + max((level.get(q, 0) for q in g.qubits()), default=0)
-        for q in g.qubits():
+        qubits = g.controls + g.targets
+        layer = 0
+        for q in qubits:
+            if level[q] > layer:
+                layer = level[q]
+        layer += 1
+        for q in qubits:
             level[q] = layer
-        best = max(best, layer)
+        if layer > best:
+            best = layer
     return best
 
 
@@ -266,40 +289,48 @@ def lower(c: Circuit) -> Circuit:
     mcx with k >= 3 controls becomes a clean-ancilla v-chain of 2k-3 ccx
     gates; mcz becomes h(target), the mcx form, h(target). Ancillas live in
     an appended "anc" register sized for the widest gate and are reused;
-    each v-chain uncomputes them back to |0>.
+    each v-chain uncomputes them back to |0>. The output is built without
+    ``append``: basis gates of ``c`` are valid already, and the v-chains
+    touch only ``c``'s gate qubits and the declared ancillas.
     """
     n_anc = _widest_decomposed(c)
     regs = c.registers + ((("anc", n_anc),) if n_anc else ())
     out = Circuit(regs, c.classical_bits)
     anc0 = c.num_qubits
+    gates = out.gates
+    emit = gates.append
+    # control set -> (compute chain, uncompute chain); gates are immutable,
+    # so every mcx on the same controls shares its chain's gates
+    chains: dict[tuple[int, ...], tuple[list[Gate], list[Gate]]] = {}
 
     def emit_mcx(controls: tuple[int, ...], target: int) -> None:
         k = len(controls)
         if k <= 2:
-            out.append(Gate({1: CX, 2: CCX}[k], controls, (target,)))
+            emit(Gate({1: CX, 2: CCX}[k], controls, (target,)))
             return
-        chain = []
-        chain.append(Gate(CCX, (controls[0], controls[1]), (anc0,)))
-        for i in range(k - 3):
-            chain.append(Gate(CCX, (controls[i + 2], anc0 + i), (anc0 + i + 1,)))
-        for g in chain:
-            out.append(g)
-        out.append(Gate(CCX, (controls[-1], anc0 + k - 3), (target,)))
-        for g in reversed(chain):
-            out.append(g)
+        if controls not in chains:
+            chain = [Gate(CCX, (controls[0], controls[1]), (anc0,))]
+            for i in range(k - 3):
+                chain.append(Gate(CCX, (controls[i + 2], anc0 + i), (anc0 + i + 1,)))
+            chains[controls] = (chain, chain[::-1])
+        compute, uncompute = chains[controls]
+        gates.extend(compute)
+        emit(Gate(CCX, (controls[-1], anc0 + k - 3), (target,)))
+        gates.extend(uncompute)
 
     for g in c.gates:
         if g.kind in BASIS_KINDS:
-            out.append(g)
+            emit(g)
         elif g.kind == MCX:
             emit_mcx(g.controls, g.targets[0])
         elif g.kind == MCZ:
             t = g.targets[0]
-            out.append(Gate(H, (), (t,)))
+            emit(Gate(H, (), (t,)))
             emit_mcx(g.controls, t)
-            out.append(Gate(H, (), (t,)))
+            emit(Gate(H, (), (t,)))
         else:  # pragma: no cover - KINDS is closed
             raise ContractError(f"cannot lower {g.kind}")
+    out._measured = set(c._measured)
     return out
 
 

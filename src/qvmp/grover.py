@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bitlinalg import BitMatrix, BitVector, append_column, mismatch_rows
-from .circuit import Circuit, compose, inverse
+from .circuit import Circuit, inverse
 from .errors import ContractError, DimensionError
 from .simulator import _evolve
 
@@ -196,9 +196,9 @@ def build_diffuser(k: int) -> Circuit:
     return c.freeze()
 
 
-def _oracle_registers(inst: QvmpInstance) -> Circuit:
+def _oracle_registers(inst: QvmpInstance, classical_bits: int = 0) -> Circuit:
     k, m = inst.address_bits, inst.m
-    return Circuit((("address", k), ("a", m), ("y", m), ("z", 1)))
+    return Circuit((("address", k), ("a", m), ("y", m), ("z", 1)), classical_bits)
 
 
 def build_oracle(inst: QvmpInstance, dual: bool = False) -> Circuit:
@@ -222,25 +222,29 @@ def build_oracle(inst: QvmpInstance, dual: bool = False) -> Circuit:
     db_map = addr + areg + [z]
     dot_map = areg + yreg + [z]
 
-    c = compose(c, db, db_map)
-    c = compose(c, dot, dot_map)
+    c.extend(db, db_map)
+    c.extend(dot, dot_map)
     if dual:
         c.x(z)
         c.z(z)
         c.x(z)
     else:
         c.z(z)
-    c = compose(c, inverse(dot), dot_map)
-    c = compose(c, inverse(db), db_map)
+    c.extend(inverse(dot), dot_map)
+    c.extend(inverse(db), db_map)
     return c.freeze()
 
 
 def build_grover_state(inst: QvmpInstance, iterations: int, dual: bool = False) -> Circuit:
     """Search circuit without the terminal measurement: uniform address
     superposition, y loaded by X gates, then (oracle, diffuser) repeated."""
+    return _prepare_search(_oracle_registers(inst), inst, iterations, dual).freeze()
+
+
+def _prepare_search(c: Circuit, inst: QvmpInstance, iterations: int, dual: bool) -> Circuit:
+    """Write ``build_grover_state``'s gates into ``c`` in place."""
     if iterations < 0:
         raise ContractError("iterations must be >= 0")
-    c = _oracle_registers(inst)
     for q in c.qubits("address"):
         c.h(q)
     for i in range(inst.m):
@@ -249,23 +253,22 @@ def build_grover_state(inst: QvmpInstance, iterations: int, dual: bool = False) 
     if iterations:
         step = _grover_iteration(inst, dual)
         for _ in range(iterations):
-            c = compose(c, step)
-    return c.freeze()
+            c.extend(step)
+    return c
 
 
 def _grover_iteration(inst: QvmpInstance, dual: bool) -> Circuit:
     """One (oracle, diffuser) pair on the search registers."""
-    c = compose(_oracle_registers(inst), build_oracle(inst, dual=dual))
-    c = compose(c, build_diffuser(inst.address_bits), c.qubits("address"))
+    c = _oracle_registers(inst)
+    c.extend(build_oracle(inst, dual=dual))
+    c.extend(build_diffuser(inst.address_bits), c.qubits("address"))
     return c.freeze()
 
 
 def build_grover_search(inst: QvmpInstance, iterations: int, dual: bool = False) -> Circuit:
     """Full search circuit: state preparation, iterations, then measurement
     of address qubit i into classical bit i."""
-    state = build_grover_state(inst, iterations, dual=dual)
-    c = Circuit(state.registers, inst.address_bits)
-    c = compose(c, state)
+    c = _prepare_search(_oracle_registers(inst, inst.address_bits), inst, iterations, dual)
     for i, q in enumerate(c.qubits("address")):
         c.measure(q, i)
     return c.freeze()
@@ -308,9 +311,10 @@ def build_grover_search_compact(inst: QvmpInstance, iterations: int,
         for i in set_bits:
             c.cx(areg[i], z)
 
+    undo_db = inverse(db)
     diffuser = build_diffuser(k)
     for _ in range(iterations):
-        c = compose(c, db, db_map)
+        c.extend(db, db_map)
         dot_folded()
         if dual:
             c.x(z)
@@ -320,8 +324,8 @@ def build_grover_search_compact(inst: QvmpInstance, iterations: int,
             c.z(z)
         for i in reversed(set_bits):
             c.cx(areg[i], z)
-        c = compose(c, inverse(db), db_map)
-        c = compose(c, diffuser, addr)
+        c.extend(undo_db, db_map)
+        c.extend(diffuser, addr)
     if measure:
         for i, q in enumerate(addr):
             c.measure(q, i)

@@ -164,7 +164,8 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
     iteration planning comes from the classical ground truth; with zero
     solutions the trial plans zero iterations, since the address marginal
     stays uniform anyway. ``metrics`` describes the widest trial (most
-    iterations), including its engine stats under ``engine``.
+    iterations), including its engine stats under ``engine``; its circuit
+    is lowered once, when the verdict is reached.
     """
     n = a.rows
     for mat in (a, b, c):
@@ -179,9 +180,22 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
     dual = cfg.iteration_mode == "dual"
     timings = {"build": 0.0, "lower": 0.0, "simulate": 0.0}
     histograms: dict[str, Histogram] = {}
-    metrics: dict = {}
+    # widest trial so far: (iterations, search circuit, engine stats)
+    widest: tuple[int, circ_mod.Circuit, dict] | None = None
 
     def finish(decision: str, witness: tuple[int, int] | None) -> VerdictReport:
+        metrics: dict = {}
+        if widest is not None:
+            iterations, search, stats = widest
+            t0 = time.perf_counter()
+            lowered = circ_mod.lower(search)
+            timings["lower"] += time.perf_counter() - t0
+            metrics = {
+                "iterations": iterations,
+                "circuit": circ_mod.metrics(search),
+                "lowered": circ_mod.metrics(lowered),
+                "engine": stats,
+            }
         return VerdictReport(decision, witness, histograms, metrics, timings)
 
     for bi, (b_i, c_i) in enumerate(zip(b_blocks, c_blocks)):
@@ -196,22 +210,13 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
             t0 = time.perf_counter()
             search = build_grover_search_compact(inst, plan.iterations, dual=dual)
             timings["build"] += time.perf_counter() - t0
-            widest = not metrics or plan.iterations > metrics["iterations"]
-            if widest:
-                t0 = time.perf_counter()
-                lowered = circ_mod.lower(search)
-                timings["lower"] += time.perf_counter() - t0
-                metrics = {
-                    "iterations": plan.iterations,
-                    "circuit": circ_mod.metrics(search),
-                    "lowered": circ_mod.metrics(lowered),
-                }
-            stats = {} if widest else None
+            stats = None
+            if widest is None or plan.iterations > widest[0]:
+                stats = {}
+                widest = (plan.iterations, search, stats)
             t0 = time.perf_counter()
             hist = run(search, cfg.shots, shot_seed, stats=stats)
             timings["simulate"] += time.perf_counter() - t0
-            if widest:
-                metrics["engine"] = stats
             histograms[f"{bi}/{trial}"] = hist
             j = _candidate_address(hist, n, dual)
             if matvec(a, y)[j] != z[j]:

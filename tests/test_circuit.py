@@ -46,6 +46,15 @@ def random_circuit(num_qubits, num_gates, rng, max_controls=4, with_mcz=True):
     return c
 
 
+def reference_depth(c):
+    """Greedy layering by a full scan back over the earlier gates."""
+    layers = []
+    for i, g in enumerate(c.gates):
+        shared = [layers[j] for j in range(i) if set(c.gates[j].qubits()) & set(g.qubits())]
+        layers.append(1 + max(shared, default=0))
+    return max(layers, default=0)
+
+
 class TestConstruction:
     def test_registers_fix_global_order(self):
         c = Circuit((("address", 2), ("a", 3), ("z", 1)))
@@ -130,6 +139,127 @@ class TestCompose:
         assert out.gates[-1] == Gate(CX, (3,), (1,))
 
 
+def appended(registers, classical_bits, gate_lists):
+    """Reference for compose/extend: every gate appended one at a time."""
+    out = Circuit(registers, classical_bits)
+    for gates in gate_lists:
+        for g in gates:
+            out.append(g)
+    return out
+
+
+def mapped(gates, table):
+    return [Gate(g.kind, tuple(table[q] for q in g.controls),
+                 tuple(table[q] for q in g.targets), g.classical) for g in gates]
+
+
+def random_measured_circuit(num_qubits, num_gates, rng, classical_bits):
+    c = appended((("q", num_qubits),), classical_bits,
+                 [random_circuit(num_qubits, num_gates, rng).gates])
+    for q in rng.sample(range(num_qubits), rng.randint(0, 2)):
+        c.measure(q, rng.randrange(classical_bits))
+    return c
+
+
+class TestExtend:
+    def test_random_circuits_match_append_reference(self):
+        rng = random.Random(10)
+        for _ in range(40):
+            width = rng.randint(4, 8)
+            a = random_measured_circuit(width, rng.randint(0, 15), rng, 3)
+            b_width = rng.randint(4, width)
+            b = random_measured_circuit(b_width, rng.randint(0, 15), rng, 2)
+            free = [q for q in range(width) if q not in a._measured]
+            if len(free) < b_width:
+                continue
+            table = rng.sample(free, b_width)
+            want = appended(a.registers, 3, [a.gates, mapped(b.gates, table)])
+            out = compose(a, b, table)
+            assert out.gates == want.gates
+            assert out.measured_qubits() == want.measured_qubits()
+            before = list(a.gates)
+            a.extend(b, [a.qubits("q")[q] for q in table])
+            assert a.gates == want.gates
+            assert compose(Circuit(a.registers, 3), a).gates == want.gates
+            assert len(before) + len(b.gates) == len(a.gates)
+
+    def test_identity_mapping_and_self_extend(self):
+        c = random_circuit(5, 12, random.Random(11))
+        want = appended(c.registers, 0, [c.gates, c.gates])
+        c.extend(c)
+        assert c.gates == want.gates
+
+    def test_measurements_carry_over(self):
+        b = Circuit((("p", 2),), classical_bits=1)
+        b.measure(1, 0)
+        a = Circuit((("q", 3),), classical_bits=1)
+        a.extend(b, [2, 0])
+        assert a.measured_qubits() == [(0, 0)]
+        with pytest.raises(ContractError):
+            a.x(0)
+
+    @staticmethod
+    def contract_cases():
+        """(target, other, mapping) triples that some gate-by-gate append
+        rejects: a frozen target, a gate after measurement, an undeclared
+        classical bit."""
+        frozen = Circuit((("q", 2),)).freeze()
+        one_x = Circuit((("q", 2),))
+        one_x.x(1)
+        measured = Circuit((("q", 3),), classical_bits=1)
+        measured.measure(2, 0)
+        reads = Circuit((("p", 2),))
+        reads.cx(0, 1)
+        narrow = Circuit((("q", 2),), classical_bits=1)
+        wide_measure = Circuit((("q", 2),), classical_bits=2)
+        wide_measure.measure(0, 1)
+        return [
+            (frozen, one_x, None),
+            (measured, reads, [0, 2]),
+            (measured, reads, [2, 1]),
+            (narrow, wide_measure, None),
+        ]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_contract_errors_match_append(self, case):
+        target, other, mapping = self.contract_cases()[case]
+        table = list(range(other.num_qubits)) if mapping is None else mapping
+        reference = Circuit(target.registers, target.classical_bits)
+        reference.gates = list(target.gates)
+        reference._measured = set(target._measured)
+        reference._frozen = target.frozen
+        with pytest.raises(ContractError):
+            for g in mapped(other.gates, table):
+                reference.append(g)
+        before = list(target.gates)
+        with pytest.raises(ContractError):
+            target.extend(other, mapping)
+        assert target.gates == before  # nothing appended on failure
+
+    def test_compose_keeps_measurement_contract(self):
+        target, other, mapping = self.contract_cases()[1]
+        with pytest.raises(ContractError):
+            compose(target, other, mapping)
+
+    def test_compose_widens_classical_bits(self):
+        a = Circuit((("q", 2),), classical_bits=1)
+        b = Circuit((("q", 2),), classical_bits=2)
+        b.measure(0, 1)
+        out = compose(a, b)
+        assert out.classical_bits == 2 and out.measured_qubits() == [(0, 1)]
+
+    def test_mapping_checked_once(self):
+        a = Circuit((("q", 3),))
+        b = Circuit((("p", 2),))
+        b.cx(0, 1)
+        for bad in ([0, 0], [0, 5], [0]):
+            with pytest.raises(CompositionError):
+                a.extend(b, bad)
+        with pytest.raises(CompositionError):
+            a.extend(b)
+        assert a.gates == []
+
+
 class TestInverse:
     def test_involution(self):
         c = random_circuit(5, 20, random.Random(2))
@@ -180,6 +310,13 @@ class TestDepth:
             a = random_circuit(5, rng.randint(1, 15), rng)
             b = random_circuit(5, rng.randint(1, 15), rng)
             assert depth(compose(a, b)) <= depth(a) + depth(b)
+
+    def test_random_circuits_match_reference_layering(self):
+        rng = random.Random(12)
+        for _ in range(30):
+            c = random_measured_circuit(rng.randint(4, 8), rng.randint(0, 40), rng, 2)
+            for circ in (c, lower(c)):
+                assert depth(circ) == reference_depth(circ)
 
     def test_invariant_under_in_layer_reordering(self):
         rng = random.Random(5)

@@ -402,6 +402,37 @@ class TestGroverSearch:
         assert c.num_qubits == 4 + 16 + 1
 
 
+class TestLinearConstruction:
+    @pytest.mark.parametrize("builder", [build_grover_search, build_grover_search_compact])
+    def test_each_iteration_writes_its_gates_once(self, builder, monkeypatch):
+        """Gates written by append and extend, counted without timing:
+        going from k to k' iterations writes exactly the gates the extra
+        iterations add, so no earlier iteration is copied again."""
+        written = [0]
+        append, extend = Circuit.append, Circuit.extend
+
+        def counting_append(self, gate):
+            written[0] += 1
+            append(self, gate)
+
+        def counting_extend(self, other, mapping=None):
+            written[0] += len(other.gates)
+            extend(self, other, mapping)
+
+        monkeypatch.setattr(Circuit, "append", counting_append)
+        monkeypatch.setattr(Circuit, "extend", counting_extend)
+        inst = make_instance(16, 8, {3, 9}, seed=18)
+        cost, size = {}, {}
+        for k in (1, 2, 4):
+            written[0] = 0
+            size[k] = len(builder(inst, k))
+            cost[k] = written[0]
+        per_iteration = size[2] - size[1]
+        assert per_iteration > 0
+        assert cost[2] - cost[1] == per_iteration
+        assert cost[4] - cost[2] == 2 * per_iteration
+
+
 class TestScan:
     def test_no_solutions_flat_zero(self):
         inst = make_instance(8, 4, set(), seed=18)

@@ -9,6 +9,7 @@ from qvmp.errors import ContractError, DimensionError, ResourceError
 from qvmp.grover import build_grover_search, build_grover_search_compact, plan_iterations
 from qvmp.runner import (
     DEFAULT_METRICS_GRID,
+    METRICS_FIELDS,
     ExperimentConfig,
     VerdictReport,
     emit_histogram,
@@ -143,6 +144,33 @@ class TestVerify:
         assert engine["peak_support"] <= 8
         assert engine["pruned_mass"] <= 1e-12
 
+    def test_lowers_the_widest_trial_once(self, monkeypatch):
+        import qvmp.circuit as circuit
+        import qvmp.runner as runner
+
+        built, lowered = [], []
+        build, lower = runner.build_grover_search_compact, circuit.lower
+
+        def recording_build(inst, iterations, **kwargs):
+            built.append((iterations, build(inst, iterations, **kwargs)))
+            return built[-1][1]
+
+        def recording_lower(c):
+            lowered.append(c)
+            return lower(c)
+
+        monkeypatch.setattr(runner, "build_grover_search_compact", recording_build)
+        monkeypatch.setattr(circuit, "lower", recording_lower)
+        a, b, _, bad, _, _ = flipped_product(8, seed=0)
+        cfg = ExperimentConfig(n=8, m=8, mismatches=0, shots=128, seed=0, trials=4)
+        report = qvmp_verify(a, b, bad, cfg)
+        widest = max(built, key=lambda kc: kc[0])[1]  # first trial with the most iterations
+        assert len(built) > 1 and lowered == [widest]
+        assert report.metrics["iterations"] == max(k for k, _ in built)
+        assert report.metrics["circuit"] == circuit.metrics(widest)
+        assert report.metrics["lowered"] == circuit.metrics(lower(widest))
+        assert list(report.metrics) == ["iterations", "circuit", "lowered", "engine"]
+
     def test_single_flip_n32(self):
         # The 38-qubit compact circuit stays sparse, far above the dense cap.
         a, b, _, bad, row, col = flipped_product(32, seed=7)
@@ -240,6 +268,29 @@ class TestMetricsEmission:
         rows = emit_metrics([(4, 4, 1), (16, 4, 2)])
         text = metrics_to_csv(rows)
         assert metrics_from_csv(text) == rows
+
+    def test_default_grid_rows_pinned(self):
+        """Every column of every default-grid row at seed 0, depths
+        included, so a change to construction, lower or depth cannot drift
+        the reported figures."""
+        pinned = [
+            (4, 4, 1, 1, 11, 44, 64, 22, 8, 1, 1, 30, 0, 2, 11, 44, 64, 30),
+            (16, 4, 2, 2, 13, 314, 495, 275, 24, 2, 0, 16, 174, 4, 15, 966, 1187, 882),
+            (16, 8, 2, 2, 21, 430, 637, 277, 24, 2, 0, 32, 298, 4, 23, 1576, 1825, 1518),
+            (32, 4, 2, 3, 14, 914, 1585, 993, 41, 3, 0, 24, 519, 5, 17, 3890, 4693, 3651),
+            (32, 8, 1, 4, 22, 1658, 2606, 1324, 53, 4, 0, 64, 1156, 5, 25, 8422, 9534, 8148),
+            (32, 32, 3, 2, 70, 2414, 2941, 675, 29, 2, 0, 128, 2102, 5, 73, 14880, 15549,
+             14838),
+            (64, 8, 3, 3, 23, 2576, 4238, 2342, 48, 3, 0, 48, 1791, 6, 27, 16607, 18560, 16161),
+            (64, 8, 1, 6, 23, 5126, 8438, 4682, 90, 6, 0, 96, 3558, 6, 27, 32996, 36890, 32106),
+            (64, 16, 2, 4, 39, 5450, 7716, 3128, 62, 4, 0, 128, 4388, 6, 43, 40142, 42812,
+             39612),
+            (64, 64, 3, 3, 135, 13454, 15133, 2371, 48, 3, 0, 384, 12321, 6, 139, 111740,
+             113695, 111267),
+        ]
+        rows = emit_metrics(seed=0)
+        assert [tuple(row[f] for f in METRICS_FIELDS) for row in rows] == pinned
+        assert all(set(row) == set(METRICS_FIELDS) for row in rows)
 
     def test_default_grid_covers_reported_dimensions(self):
         dims = {(n, m) for n, m, _ in DEFAULT_METRICS_GRID}
