@@ -13,7 +13,15 @@ from .bitlinalg import (
     mismatch_rows,
     partition_columns,
 )
-from .circuit import Circuit, compose, depth, gate_counts, inverse, lower
+from .circuit import (
+    Circuit,
+    compose,
+    depth,
+    gate_counts,
+    inverse,
+    lower,
+    lowered_metrics,
+)
 from .grover import (
     GroverPlan,
     QvmpInstance,
@@ -44,6 +52,7 @@ __all__ = [
     "gate_counts",
     "inverse",
     "lower",
+    "lowered_metrics",
     "GroverPlan",
     "QvmpInstance",
     "build_diffuser",

@@ -19,7 +19,7 @@ from .errors import CompositionError, ContractError, InversionError
 __all__ = [
     "X", "H", "Z", "CX", "CCX", "MCX", "MCZ", "MEASURE",
     "QubitRef", "Gate", "Circuit",
-    "compose", "inverse", "depth", "gate_counts", "lower",
+    "compose", "inverse", "depth", "gate_counts", "lower", "lowered_metrics",
     "dump", "metrics", "metrics_json",
 ]
 
@@ -34,6 +34,11 @@ MEASURE = "measure"
 
 KINDS = frozenset({X, H, Z, CX, CCX, MCX, MCZ, MEASURE})
 BASIS_KINDS = frozenset({X, H, Z, CX, CCX, MEASURE})
+
+
+def _x_kind(k: int) -> str:
+    """Canonical kind of an X gate with k controls."""
+    return (X, CX, CCX)[k] if k < 3 else MCX
 
 
 class QubitRef(NamedTuple):
@@ -195,15 +200,7 @@ class Circuit:
 
     def mcx(self, controls: Iterable, t) -> None:
         ctrls = tuple(self._resolve(c) for c in controls)
-        target = self._resolve(t)
-        if len(ctrls) == 0:
-            self.append(Gate(X, (), (target,)))
-        elif len(ctrls) == 1:
-            self.append(Gate(CX, ctrls, (target,)))
-        elif len(ctrls) == 2:
-            self.append(Gate(CCX, ctrls, (target,)))
-        else:
-            self.append(Gate(MCX, ctrls, (target,)))
+        self.append(Gate(_x_kind(len(ctrls)), ctrls, (self._resolve(t),)))
 
     def mcz(self, controls: Iterable, t) -> None:
         ctrls = tuple(self._resolve(c) for c in controls)
@@ -275,12 +272,19 @@ def gate_counts(c: Circuit) -> dict[str, int]:
     return dict(Counter(g.kind for g in c.gates))
 
 
-def _widest_decomposed(c: Circuit) -> int:
-    widest = 0
-    for g in c.gates:
-        if g.kind in (MCX, MCZ) and len(g.controls) >= 3:
-            widest = max(widest, len(g.controls) - 2)
-    return widest
+def _ancilla_width(census: Iterable[tuple[str, int]]) -> int:
+    """Clean ancillas the v-chains need, from (kind, control count) pairs:
+    k - 2 for the widest mcx or mcz with k >= 3 controls."""
+    return max((k - 2 for kind, k in census if k >= 3 and kind in (MCX, MCZ)), default=0)
+
+
+def _ancilla_register(c: Circuit) -> str:
+    """"anc", or the first of "anc1", "anc2", ... that ``c`` leaves free."""
+    name, i = "anc", 0
+    while name in c._widths:
+        i += 1
+        name = f"anc{i}"
+    return name
 
 
 def lower(c: Circuit) -> Circuit:
@@ -288,13 +292,15 @@ def lower(c: Circuit) -> Circuit:
 
     mcx with k >= 3 controls becomes a clean-ancilla v-chain of 2k-3 ccx
     gates; mcz becomes h(target), the mcx form, h(target). Ancillas live in
-    an appended "anc" register sized for the widest gate and are reused;
-    each v-chain uncomputes them back to |0>. The output is built without
-    ``append``: basis gates of ``c`` are valid already, and the v-chains
-    touch only ``c``'s gate qubits and the declared ancillas.
+    an appended register sized for the widest gate and are reused; each
+    v-chain uncomputes them back to |0>. The register is named "anc", or
+    "anc1", "anc2", ... when ``c`` declares "anc" already. The output is
+    built without ``append``: basis gates of ``c`` are valid already, and
+    the v-chains touch only ``c``'s gate qubits and the declared ancillas.
+    ``lowered_metrics`` gives ``metrics`` of the result without building it.
     """
-    n_anc = _widest_decomposed(c)
-    regs = c.registers + ((("anc", n_anc),) if n_anc else ())
+    n_anc = _ancilla_width({(g.kind, len(g.controls)) for g in c.gates})
+    regs = c.registers + (((_ancilla_register(c), n_anc),) if n_anc else ())
     out = Circuit(regs, c.classical_bits)
     anc0 = c.num_qubits
     gates = out.gates
@@ -306,7 +312,7 @@ def lower(c: Circuit) -> Circuit:
     def emit_mcx(controls: tuple[int, ...], target: int) -> None:
         k = len(controls)
         if k <= 2:
-            emit(Gate({1: CX, 2: CCX}[k], controls, (target,)))
+            emit(Gate(_x_kind(k), controls, (target,)))
             return
         if controls not in chains:
             chain = [Gate(CCX, (controls[0], controls[1]), (anc0,))]
@@ -332,6 +338,126 @@ def lower(c: Circuit) -> Circuit:
             raise ContractError(f"cannot lower {g.kind}")
     out._measured = set(c._measured)
     return out
+
+
+def _close_chain(level: list[int], controls: tuple[int, ...], anc0: int, middle: int) -> int:
+    """Write the levels a v-chain leaves on its controls and ancillas once
+    its middle ccx sits at layer ``middle``; returns its last layer.
+
+    The uncompute half mirrors the compute half one layer per step after
+    the middle: ccx i (on c_{i+1}, a_{i-1} -> a_i) lands at
+    middle + k - 2 - i, so a_i and c_{i+1} end there, c_0 with c_1 and a_0
+    at middle + k - 2, and c_{k-1}, used only by the middle ccx, at middle.
+    """
+    k = len(controls)
+    top = middle + k - 2
+    level[controls[0]] = top
+    for i in range(k - 2):
+        level[controls[i + 1]] = level[anc0 + i] = top - i
+    level[controls[-1]] = middle
+    return top
+
+
+def lowered_metrics(c: Circuit) -> dict:
+    """``metrics(lower(c))``, from one pass over ``c``'s gates without
+    building the lowered circuit.
+
+    Gate counts follow from a census of (kind, control count): a k >= 3
+    control mcx lowers to 2k-3 ccx and an mcz adds two h. Depth runs the
+    ``depth`` level table over ``c``'s qubits and the ancillas; a wide
+    gate applies the v-chain's layering to the table directly. In a run
+    of wide gates on the same controls, each gate after the first starts
+    its chain right after the previous chain ends on those controls, so
+    its middle ccx sits at max(previous middle + 2k - 3, target + 1), and
+    the control and ancilla levels are written once, when the run ends.
+    """
+    n = c.num_qubits
+    anc0 = n
+    level = [0] * (n + max(n - 3, 0))  # k <= n - 1 controls need k - 2 ancillas
+    census: dict[tuple[str, int], int] = {}
+    best = 0
+    run: tuple[int, ...] | None = None  # controls of the open run of mcx
+    middle = 0  # layer of the open run's last middle ccx
+    step = extra = 0  # 2k - 3 for the open run; its gates after the first
+    for g in c.gates:
+        ctrls = g.controls
+        kind = g.kind
+        if ctrls == run and kind == MCX:
+            t = g.targets[0]
+            middle += step
+            if level[t] >= middle:
+                middle = level[t] + 1
+            level[t] = middle
+            extra += 1
+            continue
+        if run is not None:
+            top = _close_chain(level, run, anc0, middle)
+            if top > best:
+                best = top
+            census[(MCX, len(run))] += extra
+            run = None
+        k = len(ctrls)
+        key = (kind, k)
+        census[key] = census.get(key, 0) + 1
+        if k >= 3 and (kind == MCX or kind == MCZ):
+            t = g.targets[0]
+            lt = level[t] + 1 if kind == MCZ else level[t]  # after the leading h
+            lv = max(level[ctrls[0]], level[ctrls[1]], level[anc0]) + 1
+            for i in range(1, k - 2):
+                lv = max(level[ctrls[i + 1]], lv, level[anc0 + i]) + 1
+            middle = max(level[ctrls[-1]], lv, lt) + 1
+            if kind == MCX:
+                level[t] = middle
+                run, step, extra = ctrls, 2 * k - 3, 0
+            else:
+                level[t] = middle + 1
+                top = _close_chain(level, ctrls, anc0, middle)
+                if top > best:
+                    best = top
+            continue
+        if kind == MCZ:  # one or two controls: h, cx or ccx, h
+            t = g.targets[0]
+            lv = level[t] + 1
+            for q in ctrls:
+                if level[q] > lv:
+                    lv = level[q]
+            lv += 1
+            for q in ctrls:
+                level[q] = lv
+            level[t] = lv = lv + 1
+        else:
+            lv = 0
+            for q in ctrls + g.targets:
+                if level[q] > lv:
+                    lv = level[q]
+            lv += 1
+            for q in ctrls + g.targets:
+                level[q] = lv
+        if lv > best:
+            best = lv
+    if run is not None:
+        top = _close_chain(level, run, anc0, middle)
+        if top > best:
+            best = top
+        census[(MCX, len(run))] += extra
+
+    counts: dict[str, int] = {}
+    for (kind, k), num in census.items():
+        if kind in BASIS_KINDS:
+            counts[kind] = counts.get(kind, 0) + num
+            continue
+        if kind == MCZ:
+            counts[H] = counts.get(H, 0) + 2 * num
+        if k >= 3:
+            counts[CCX] = counts.get(CCX, 0) + (2 * k - 3) * num
+        else:
+            counts[_x_kind(k)] = counts.get(_x_kind(k), 0) + num
+    return {
+        "depth": best,
+        "qubits": n + _ancilla_width(census),
+        "counts": counts,
+        "total_gates": sum(counts.values()),
+    }
 
 
 def dump(c: Circuit) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bitlinalg import BitMatrix, BitVector, append_column, mismatch_rows
-from .circuit import Circuit, inverse
+from .circuit import X, Circuit, Gate, _x_kind, inverse
 from .errors import ContractError, DimensionError
 from .simulator import _evolve
 
@@ -139,28 +139,32 @@ def build_qrom(table: BitMatrix, address: str = "address", data: str = "data") -
 
     One chunk per row: X gates select the address (flipping qubits where
     the row index has a 0 bit), a multi-controlled NOT per set bit of the
-    row writes the data qubits, and the X gates are undone.
+    row writes the data qubits, and the X gates are undone. The gates are
+    made once per table and appended per row.
     """
     n, m = table.rows, table.cols
     if n < 2 or n & (n - 1):
         raise DimensionError(f"table rows must be a power of two >= 2, got {n}")
     k = n.bit_length() - 1
     c = Circuit(((address, k), (data, m)))
-    addr = [c.qubit(address, i) for i in range(k)]
-    dat = [c.qubit(data, i) for i in range(m)]
+    addr = tuple(q.global_index for q in c.qubits(address))
+    kind = _x_kind(k)
+    select = [Gate(X, (), (q,)) for q in addr]
+    write = [Gate(kind, addr, (q.global_index,)) for q in c.qubits(data)]
+    append = c.append
     for r in range(n):
-        zero_bits = [i for i in range(k) if not (r >> i) & 1]
-        for i in zero_bits:
-            c.x(addr[i])
+        flips = [select[i] for i in range(k) if not (r >> i) & 1]
+        for g in flips:
+            append(g)
         word = table.row_words[r]
         col = 0
         while word:
             if word & 1:
-                c.mcx(addr, dat[col])
+                append(write[col])
             word >>= 1
             col += 1
-        for i in zero_bits:
-            c.x(addr[i])
+        for g in flips:
+            append(g)
     return c.freeze()
 
 

@@ -164,8 +164,10 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
     iteration planning comes from the classical ground truth; with zero
     solutions the trial plans zero iterations, since the address marginal
     stays uniform anyway. ``metrics`` describes the widest trial (most
-    iterations), including its engine stats under ``engine``; its circuit
-    is lowered once, when the verdict is reached.
+    iterations), including its engine stats under ``engine``; its lowered
+    metrics are computed once, when the verdict is reached, by
+    ``circuit.lowered_metrics`` without building the lowered circuit, and
+    ``timings["lower"]`` times that call.
     """
     n = a.rows
     for mat in (a, b, c):
@@ -188,12 +190,12 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
         if widest is not None:
             iterations, search, stats = widest
             t0 = time.perf_counter()
-            lowered = circ_mod.lower(search)
+            lowered = circ_mod.lowered_metrics(search)
             timings["lower"] += time.perf_counter() - t0
             metrics = {
                 "iterations": iterations,
                 "circuit": circ_mod.metrics(search),
-                "lowered": circ_mod.metrics(lowered),
+                "lowered": lowered,
                 "engine": stats,
             }
         return VerdictReport(decision, witness, histograms, metrics, timings)
@@ -231,15 +233,15 @@ def _instance_for_row(n: int, m: int, mismatches: int, seed: int) -> QvmpInstanc
 def emit_metrics(grid=None, seed: int = 0) -> list[dict]:
     """Circuit metrics for each (n, m, mismatches) grid row, before and
     after lowering to the {x, h, z, cx, ccx} basis. Construction only; no
-    simulation."""
+    simulation, and the lowered columns are computed by
+    ``circuit.lowered_metrics`` without building the lowered circuit."""
     rows = []
     for n, m, mismatches in (grid if grid is not None else DEFAULT_METRICS_GRID):
         inst = _instance_for_row(n, m, mismatches, seed)
         plan = plan_iterations(n, len(inst.solutions), "optimal")
         search = build_grover_search(inst, plan.iterations)
-        lowered = circ_mod.lower(search)
         pre = circ_mod.metrics(search)
-        post = circ_mod.metrics(lowered)
+        post = circ_mod.lowered_metrics(search)
         row = {
             "n": n,
             "m": m,

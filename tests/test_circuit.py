@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvmp.circuit import (
     CCX,
@@ -19,9 +21,17 @@ from qvmp.circuit import (
     gate_counts,
     inverse,
     lower,
+    lowered_metrics,
     metrics,
 )
 from qvmp.errors import CompositionError, ContractError, InversionError
+from qvmp.grover import (
+    build_grover_search,
+    build_grover_search_compact,
+    build_grover_state,
+    plan_iterations,
+)
+from qvmp.runner import generate_instance
 from qvmp.simulator import statevector
 
 
@@ -409,6 +419,91 @@ class TestLower:
             assert np.allclose(block[0], want, atol=1e-9)
             if extra:
                 assert np.allclose(block[1:], 0.0, atol=1e-9)
+
+
+@st.composite
+def lowering_circuits(draw):
+    """Circuits over the whole gate set, shaped like the builders' output:
+    runs of one to four mcx on one control set (targets may repeat), mcz
+    on one to five controls, and terminal measurements; about half are
+    basis-only and need no ancilla."""
+    n = draw(st.integers(1, 9))
+    shapes = [X, H, Z] + [CX] * (n >= 2) + [CCX] * (n >= 3)
+    if draw(st.booleans()):
+        shapes += [MCZ] * (n >= 2) + ["run"] * (n >= 4)
+    c = Circuit((("q", n),), n)
+    for _ in range(draw(st.integers(0, 30))):
+        shape = draw(st.sampled_from(shapes))
+        order = draw(st.permutations(range(n)))
+        if shape in (X, H, Z):
+            getattr(c, shape)(order[0])
+        elif shape == CX:
+            c.cx(order[0], order[1])
+        elif shape == CCX:
+            c.ccx(order[0], order[1], order[2])
+        elif shape == MCZ:
+            k = draw(st.integers(1, min(5, n - 1)))
+            c.mcz(order[:k], order[k])
+        else:
+            k = draw(st.integers(3, n - 1))
+            for _ in range(draw(st.integers(1, 4))):
+                c.mcx(order[:k], draw(st.sampled_from(order[k:])))
+    for q in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+        c.measure(q, q)
+    return c
+
+
+def assert_lowered_metrics_exact(c):
+    want = metrics(lower(c))
+    got = lowered_metrics(c)
+    assert got == want
+    assert list(got["counts"]) == list(want["counts"])  # first-appearance order
+
+
+class TestLoweredMetrics:
+    @settings(max_examples=400, deadline=None)
+    @given(lowering_circuits())
+    def test_random_circuits_match_lowering(self, c):
+        assert_lowered_metrics_exact(c)
+
+    def test_empty(self):
+        assert lowered_metrics(Circuit((("q", 2),))) == metrics(Circuit((("q", 2),)))
+
+    def test_run_then_chain_on_a_target(self):
+        # The second chain's controls include the first run's target.
+        c = Circuit((("q", 6),))
+        c.mcx([0, 1, 2], 3)
+        c.mcx([0, 1, 2], 4)
+        c.mcx([0, 1, 3], 2)
+        c.mcz([0, 1, 3], 5)
+        assert_lowered_metrics_exact(c)
+
+    @pytest.mark.parametrize("n,m", [(4, 4), (16, 8), (64, 8)])
+    def test_search_builders_match_lowering(self, n, m):
+        inst = generate_instance(n, m, 2, seed=n + m)
+        iterations = max(1, plan_iterations(n, len(inst.solutions), "optimal").iterations)
+        for c in (
+            build_grover_search(inst, iterations),
+            build_grover_search(inst, iterations, dual=True),
+            build_grover_search_compact(inst, iterations),
+            build_grover_search_compact(inst, iterations, measure=False),
+            build_grover_state(inst, iterations),
+        ):
+            assert_lowered_metrics_exact(c)
+
+    @pytest.mark.parametrize("taken,name", [(("anc",), "anc1"), (("anc", "anc1"), "anc2")])
+    def test_circuit_with_its_own_anc_register(self, taken, name):
+        c = Circuit((("q", 3),) + tuple((reg, 1) for reg in taken))
+        c.mcx([0, 1, 2], 3)
+        lowered = lower(c)
+        assert lowered.registers == c.registers + ((name, 1),)
+        assert gate_counts(lowered) == {CCX: 3}
+        assert lowered_metrics(c) == metrics(lowered)
+        assert lowered_metrics(c)["qubits"] == c.num_qubits + 1
+        for basis in range(1 << c.num_qubits):
+            got = statevector(lowered, initial=basis).amplitudes
+            want = statevector(c, initial=basis).amplitudes
+            assert np.allclose(got[: 1 << c.num_qubits], want, atol=1e-12)
 
 
 class TestDumpAndMetrics:

@@ -145,27 +145,36 @@ class TestVerify:
         assert engine["pruned_mass"] <= 1e-12
 
     def test_lowers_the_widest_trial_once(self, monkeypatch):
+        # The lowered metrics come from lowered_metrics on the widest
+        # trial's circuit, once per verdict; no lowered circuit is built.
         import qvmp.circuit as circuit
         import qvmp.runner as runner
 
-        built, lowered = [], []
-        build, lower = runner.build_grover_search_compact, circuit.lower
+        built, measured, lowered = [], [], []
+        build, lowered_metrics, lower = (
+            runner.build_grover_search_compact, circuit.lowered_metrics, circuit.lower)
 
         def recording_build(inst, iterations, **kwargs):
             built.append((iterations, build(inst, iterations, **kwargs)))
             return built[-1][1]
+
+        def recording_lowered_metrics(c):
+            measured.append(c)
+            return lowered_metrics(c)
 
         def recording_lower(c):
             lowered.append(c)
             return lower(c)
 
         monkeypatch.setattr(runner, "build_grover_search_compact", recording_build)
+        monkeypatch.setattr(circuit, "lowered_metrics", recording_lowered_metrics)
         monkeypatch.setattr(circuit, "lower", recording_lower)
         a, b, _, bad, _, _ = flipped_product(8, seed=0)
         cfg = ExperimentConfig(n=8, m=8, mismatches=0, shots=128, seed=0, trials=4)
         report = qvmp_verify(a, b, bad, cfg)
         widest = max(built, key=lambda kc: kc[0])[1]  # first trial with the most iterations
-        assert len(built) > 1 and lowered == [widest]
+        assert len(built) > 1 and measured == [widest]
+        assert lowered == []
         assert report.metrics["iterations"] == max(k for k, _ in built)
         assert report.metrics["circuit"] == circuit.metrics(widest)
         assert report.metrics["lowered"] == circuit.metrics(lower(widest))
