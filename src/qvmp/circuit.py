@@ -366,10 +366,11 @@ def lowered_metrics(c: Circuit) -> dict:
     control mcx lowers to 2k-3 ccx and an mcz adds two h. Depth runs the
     ``depth`` level table over ``c``'s qubits and the ancillas; a wide
     gate applies the v-chain's layering to the table directly. In a run
-    of wide gates on the same controls, each gate after the first starts
-    its chain right after the previous chain ends on those controls, so
-    its middle ccx sits at max(previous middle + 2k - 3, target + 1), and
-    the control and ancilla levels are written once, when the run ends.
+    of mcx on the same k controls (a lookup row writes one), each gate
+    after the first starts its chain right after the previous chain ends
+    on those controls, so its middle ccx sits at
+    max(previous middle + 2k - 3, target level + 1), and the control and
+    ancilla levels are written once, when the run ends.
     """
     n = c.num_qubits
     anc0 = n
