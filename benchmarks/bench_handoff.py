@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Measure where the sparse engine should hand off to the dense kernels.
+"""Measure where the sparse engine should hand off to the dense state.
 
 Part 1 times one gate of each kind on a sparse state of 2^n / f random
 entries against the same gate on the dense array, for a range of support
@@ -22,7 +22,7 @@ import numpy as np
 
 from qvmp import simulator
 from qvmp.circuit import Circuit
-from qvmp.simulator import _evolve, _scatter, _sparse_h, backend_name
+from qvmp.simulator import _apply_h, _apply_mcx, _apply_phase, _evolve, _scatter, _sparse_h
 
 FRACTIONS = (64, 32, 16, 8, 4, 2, 1)
 
@@ -43,15 +43,14 @@ def gate_costs(n: int, fraction: int, repeats: int, rng: np.random.Generator) ->
     amp = rng.standard_normal(size)
     amp /= np.linalg.norm(amp)
     dense = _scatter(n, index, amp, n)
-    kernels = simulator._kernels
     q, cmask, tmask = n // 2, (1 << 1) | (1 << 3), (1 << 5) | (1 << 7)
     return {
         "h": (median_time(lambda: _sparse_h(index, amp, q, False), repeats),
-              median_time(lambda: kernels.apply_h(dense, q, False), repeats)),
+              median_time(lambda: _apply_h(dense, q, False), repeats)),
         "mcx": (median_time(lambda: sparse_mcx(index, tmask, cmask), repeats),
-                median_time(lambda: kernels.apply_mcx(dense, tmask, cmask, cmask), repeats)),
+                median_time(lambda: _apply_mcx(dense, tmask, cmask, cmask), repeats)),
         "mcz": (median_time(lambda: sparse_phase(index, amp, cmask), repeats),
-                median_time(lambda: kernels.apply_phase(dense, cmask, cmask), repeats)),
+                median_time(lambda: _apply_phase(dense, cmask, cmask), repeats)),
     }
 
 
@@ -101,7 +100,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
-    print(f"dense backend: {backend_name()}")
     print("per gate, sparse/dense time ratio (<1: sparse is cheaper)")
     print("qubits  gate " + "".join(f"{'1/' + str(f):>8}" for f in FRACTIONS))
     for n in args.qubits:

@@ -1,8 +1,8 @@
 """Grover-search verification of binary matrix products (QVMP).
 
-Exact F2 linear algebra, a gate-level circuit IR, a dense statevector
-simulator with compiled kernels, search-circuit builders, and an
-experiment driver with a CLI.
+Exact F2 linear algebra, a gate-level circuit IR, a statevector
+simulator that starts sparse and hands off to a dense NumPy array,
+search-circuit builders, and an experiment driver with a CLI.
 """
 from .bitlinalg import (
     BitMatrix,

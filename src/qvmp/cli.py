@@ -11,7 +11,7 @@ import json
 import sys
 
 from .bitlinalg import load_matrix
-from .errors import QvmpError
+from .errors import FormatError, QvmpError
 from .grover import plan_iterations, scan_success_probability
 from .runner import (
     DEFAULT_METRICS_GRID,
@@ -123,13 +123,31 @@ def _cmd_histogram(args) -> int:
     return 0
 
 
-def _cmd_metrics(args) -> int:
-    if args.grid:
-        with open(args.grid, "r", encoding="utf-8") as f:
+def _load_grid(path: str) -> list[tuple]:
+    """(n, m, mismatches) rows of a ``--grid`` file; FormatError unless it
+    is a JSON list of objects that each hold those three keys, with integer
+    n and m and a mismatch count or list of row indices."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
             spec = json.load(f)
-        grid = [(row["n"], row["m"], row["mismatches"]) for row in spec]
-    else:
-        grid = DEFAULT_METRICS_GRID
+        except ValueError as e:
+            raise FormatError(f"grid file {path} is not JSON: {e}") from e
+    if not isinstance(spec, list) or not all(isinstance(row, dict) for row in spec):
+        raise FormatError(f"grid file {path} is not a list of {{n, m, mismatches}} objects")
+    for row in spec:
+        missing = [key for key in ("n", "m", "mismatches") if key not in row]
+        if missing:
+            raise FormatError(f"grid row {json.dumps(row)} lacks {', '.join(missing)}")
+        mismatches = row["mismatches"]
+        if not (isinstance(row["n"], int) and isinstance(row["m"], int)
+                and (isinstance(mismatches, int) or isinstance(mismatches, list)
+                     and all(isinstance(r, int) for r in mismatches))):
+            raise FormatError(f"grid row {json.dumps(row)} needs integer n, m and mismatches")
+    return [(row["n"], row["m"], row["mismatches"]) for row in spec]
+
+
+def _cmd_metrics(args) -> int:
+    grid = _load_grid(args.grid) if args.grid else DEFAULT_METRICS_GRID
     rows = emit_metrics(grid, seed=args.seed)
     if args.fmt == "json":
         _write(args.out, json.dumps(rows, sort_keys=True) + "\n")

@@ -226,10 +226,6 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
     return finish("consistent", None)
 
 
-def _instance_for_row(n: int, m: int, mismatches: int, seed: int) -> QvmpInstance:
-    return generate_instance(n, m, mismatches, seed)
-
-
 def emit_metrics(grid=None, seed: int = 0) -> list[dict]:
     """Circuit metrics for each (n, m, mismatches) grid row, before and
     after lowering to the {x, h, z, cx, ccx} basis. Construction only; no
@@ -237,7 +233,7 @@ def emit_metrics(grid=None, seed: int = 0) -> list[dict]:
     ``circuit.lowered_metrics`` without building the lowered circuit."""
     rows = []
     for n, m, mismatches in (grid if grid is not None else DEFAULT_METRICS_GRID):
-        inst = _instance_for_row(n, m, mismatches, seed)
+        inst = generate_instance(n, m, mismatches, seed)
         plan = plan_iterations(n, len(inst.solutions), "optimal")
         search = build_grover_search(inst, plan.iterations)
         pre = circ_mod.metrics(search)

@@ -16,7 +16,9 @@ whatever the register width. A run that stays sparse accepts up to
 
 Once an H leaves more than 2^n / ``_DENSE_FRACTION`` amplitudes, the
 sparse state is scattered into a dense complex128 array of 2^n amplitudes
-and the remaining gates run on the dense kernels, from that gate on. The
+and the remaining gates run on it, from that gate on. Dense gates are NumPy
+slices of its (2,)*n view: a gate touches only the stratum its controls
+select, so work scales with the amplitudes it changes. The
 qubit cap (``QVMP_SIM_MAX_QUBITS``, default 26, or ``statevector``'s
 ``max_qubits``) bounds the amplitudes held in either shape: a dense
 handoff, a ``statevector`` result or an outcome marginal wider than the
@@ -38,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .circuit import CCX, CX, H, MCX, MCZ, MEASURE, X, Z, Circuit
 from .errors import ContractError, FormatError, ResourceError
 
@@ -50,7 +51,6 @@ __all__ = [
     "statevector",
     "probabilities",
     "run",
-    "use_backend",
     "backend_name",
     "qubit_cap",
 ]
@@ -58,9 +58,9 @@ __all__ = [
 DEFAULT_MAX_QUBITS = 26
 # Indices are int64; 62 qubits keep every index and index | bit positive.
 SPARSE_MAX_QUBITS = 62
-# Hand off to the dense kernels once support exceeds 2^n / _DENSE_FRACTION.
-# benchmarks/bench_handoff.py puts the per-gate crossover against the NumPy
-# kernels at 2^n/8 for H (which sorts and bincounts its entries) and 2^n/4
+# Hand off to the dense state once support exceeds 2^n / _DENSE_FRACTION.
+# benchmarks/bench_handoff.py puts the per-gate crossover against the dense
+# gates at 2^n/8 for H (which sorts and bincounts its entries) and 2^n/4
 # for controlled-X and phase gates on 14-20 qubits; handing off at 2^n/8
 # evolves its growing-support circuits fastest or within noise of it.
 _DENSE_FRACTION = 8
@@ -69,19 +69,10 @@ _DENSE_FRACTION = 8
 _PRUNE_AMPLITUDE = 1e-13
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-_kernels = kernels.active
-
-
-def use_backend(name: str) -> str:
-    """Switch the dense kernel backend at runtime (used by the benchmark
-    and the backend-parity tests). Returns the name now active."""
-    global _kernels
-    _kernels = kernels.load_backend(name)
-    return _kernels.NAME
-
 
 def backend_name() -> str:
-    return _kernels.NAME
+    """Name of the dense gate implementation; there is one, in NumPy."""
+    return "python"
 
 
 def qubit_cap() -> int:
@@ -148,6 +139,71 @@ def _scatter(n: int, index: np.ndarray, amp: np.ndarray, cap: int) -> np.ndarray
     dense = np.zeros(1 << n, dtype=np.complex128)
     dense[index] = amp
     return dense
+
+
+def _bit_positions(mask: int) -> list[int]:
+    return [q for q in range(mask.bit_length()) if (mask >> q) & 1]
+
+
+def _stratum(n: int, mask: int, val: int) -> list:
+    """Index into the (2,)*n view of a dense state selecting the amplitudes
+    whose masked index bits equal ``val``; qubit q lives on axis n-1-q."""
+    idx = [slice(None)] * n
+    for q in _bit_positions(mask):
+        idx[n - 1 - q] = (val >> q) & 1
+    return idx
+
+
+def _apply_h(state: np.ndarray, qubit: int, swapped: bool) -> None:
+    """Hadamard on one qubit of a dense state; ``swapped`` exchanges the
+    basis roles (the X-conjugated form used under a flipped frame bit)."""
+    n = state.size.bit_length() - 1
+    view = state.reshape((2,) * n)
+    i0 = tuple(_stratum(n, 1 << qubit, 0))
+    i1 = tuple(_stratum(n, 1 << qubit, 1 << qubit))
+    a = view[i0]
+    b = view[i1]
+    s = (a + b) * _INV_SQRT2
+    d = (a - b) * _INV_SQRT2
+    if swapped:
+        view[i0] = -d
+        view[i1] = s
+    else:
+        view[i0] = s
+        view[i1] = d
+
+
+def _apply_mcx(state: np.ndarray, target_mask: int, ctrl_mask: int, ctrl_val: int) -> None:
+    """NOT on every bit of the nonzero ``target_mask`` of a dense state,
+    within the stratum where the masked index bits equal ``ctrl_val``.
+
+    The joint action pairs index s with s ^ target_mask; the lowest target
+    bit anchors the pairing and the remaining target axes are reversed.
+    """
+    n = state.size.bit_length() - 1
+    view = state.reshape((2,) * n)
+    anchor, *rest = _bit_positions(target_mask)
+    idx0 = _stratum(n, ctrl_mask, ctrl_val)
+    idx1 = list(idx0)
+    a_ax = n - 1 - anchor
+    idx0[a_ax], idx1[a_ax] = 0, 1
+    i0, i1 = tuple(idx0), tuple(idx1)
+    tmp = view[i0].copy()
+    if rest:
+        kept = [ax for ax in range(n) if isinstance(idx0[ax], slice)]
+        flip = tuple(kept.index(n - 1 - q) for q in rest)
+        view[i0] = np.flip(view[i1], axis=flip)
+        view[i1] = np.flip(tmp, axis=flip)
+    else:
+        view[i0] = view[i1]
+        view[i1] = tmp
+
+
+def _apply_phase(state: np.ndarray, mask: int, val: int) -> None:
+    """Negate the amplitudes of a dense state whose masked index bits
+    equal ``val``."""
+    n = state.size.bit_length() - 1
+    state.reshape((2,) * n)[tuple(_stratum(n, mask, val))] *= -1.0
 
 
 def _marginal(probs: np.ndarray, n: int, qubits: list[int]) -> np.ndarray:
@@ -249,7 +305,7 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
             q = g.targets[0]
             swapped = bool((frame >> q) & 1)
             if dense is not None:
-                _kernels.apply_h(dense, q, swapped)
+                _apply_h(dense, q, swapped)
             else:
                 index, amp, dropped = _sparse_h(index, amp, q, swapped)
                 if stats is not None:
@@ -264,7 +320,7 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
             for c in g.controls:
                 mask |= 1 << c
             if dense is not None:
-                _kernels.apply_phase(dense, mask, mask & ~frame)
+                _apply_phase(dense, mask, mask & ~frame)
             else:
                 amp[(index & mask) == (mask & ~frame)] *= -1.0
         elif kind in (CX, CCX, MCX):
@@ -286,7 +342,7 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
                 i += 1
             if tmask:
                 if dense is not None:
-                    _kernels.apply_mcx(dense, tmask, cmask, cmask & ~frame)
+                    _apply_mcx(dense, tmask, cmask, cmask & ~frame)
                 else:
                     index[(index & cmask) == (cmask & ~frame)] ^= tmask
         elif kind == MEASURE:
@@ -299,7 +355,10 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
                      peak_support=int(peak), pruned_mass=pruned)
     if dense is not None:
         if frame:
-            dense = dense[np.arange(1 << n) ^ frame]
+            # Relabel index s as s ^ frame: reverse the axis of every
+            # flipped qubit, then copy once into a contiguous array.
+            axes = tuple(n - 1 - q for q in _bit_positions(frame))
+            dense = np.flip(dense.reshape((2,) * n), axis=axes).copy().reshape(-1)
         return _State(n, dense=dense)
     if frame:
         index ^= frame

@@ -121,6 +121,17 @@ class TestMetricsCommand:
         rows = json.loads(out.read_text())
         assert rows[0]["n"] == 8 and rows[0]["qubits"] == 12
 
+    @pytest.mark.parametrize("text", ["not json", '{"n": 4, "m": 4, "mismatches": 1}',
+                                      '[[4, 4, 1]]', '[{"n": 4}]',
+                                      '[{"n": "4", "m": 4, "mismatches": 1}]',
+                                      '[{"n": 4, "m": 4.0, "mismatches": 1}]',
+                                      '[{"n": 4, "m": 4, "mismatches": ["1"]}]'])
+    def test_bad_grid_exit_two(self, tmp_path, capsys, text):
+        p = tmp_path / "grid.json"
+        p.write_text(text)
+        assert main(["metrics", "--grid", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestScanCommand:
     def test_scan_prints_exact_masses(self, capsys):

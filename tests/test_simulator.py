@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 from qvmp.circuit import Circuit
 from qvmp.errors import ContractError, FormatError, ResourceError
 from qvmp.grover import build_grover_search, build_grover_search_compact, plan_iterations
-from qvmp.kernels import available_backends
 from qvmp.runner import generate_instance
 from qvmp.simulator import (
     SPARSE_MAX_QUBITS,
     Histogram,
     _evolve,
-    backend_name,
     probabilities,
     run,
     statevector,
-    use_backend,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -395,29 +392,3 @@ class TestHistogramFormats:
     def test_bad_csv(self):
         with pytest.raises(FormatError):
             Histogram.from_csv("bitstring,count,extra\n")
-
-
-@pytest.mark.skipif(
-    "cython" not in available_backends(), reason="compiled kernels not built"
-)
-class TestBackendParity:
-    def test_identical_amplitudes(self):
-        rng = random.Random(6)
-        try:
-            for _ in range(10):
-                c = random_circuit(6, 40, rng)
-                use_backend("cython")
-                a = statevector(c).amplitudes
-                use_backend("python")
-                b = statevector(c).amplitudes
-                assert np.array_equal(a, b)
-        finally:
-            use_backend("auto")
-
-    def test_backend_name_reports(self):
-        try:
-            assert use_backend("python") == "python"
-            assert backend_name() == "python"
-            assert use_backend("cython") == "cython"
-        finally:
-            use_backend("auto")
