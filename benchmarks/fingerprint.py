@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Output-identity fingerprint: one sha256 per family of program outputs.
+
+    PYTHONPATH=src python benchmarks/fingerprint.py
+
+Run it on two checkouts (each with its own ``src`` on the path) and compare
+the lines: equal digests mean the change left that family of outputs
+byte-identical. The families are
+
+- ``verify``: the 200 acceptance criterion-8 reports (16x16 products, seeds
+  1000+i with one flipped entry and 5000+i true), as ``to_json`` with the
+  ``timings`` values dropped and their keys kept;
+- ``metrics``: the ``emit_metrics`` CSV of the default grid, seeds 0-9;
+- ``histogram``: ``emit_histogram`` payloads in optimal, dual and qvmp modes;
+- ``scan``: ``scan_success_probability``, plain and dual;
+- ``search``: ``dump`` and ``metrics`` of ``build_grover_search``, plain and
+  dual, for several sizes and iteration counts.
+
+Only long-standing public API is used, so the script runs unchanged on
+older checkouts.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+from qvmp import circuit
+from qvmp.bitlinalg import BitMatrix, matmul, random_matrix
+from qvmp.grover import build_grover_search, plan_iterations, scan_success_probability
+from qvmp.runner import (
+    ExperimentConfig,
+    emit_histogram,
+    emit_metrics,
+    generate_instance,
+    metrics_to_csv,
+    qvmp_verify,
+)
+
+# (mode, n, m, mismatches, seed) of each histogram payload
+HISTOGRAM_CASES = (
+    ("optimal", 8, 8, (2, 5, 7), 0),
+    ("dual", 8, 4, (2, 3, 5, 6, 7), 1),
+    ("qvmp", 16, 8, 2, 2),
+)
+SEARCH_SIZES = ((4, 4), (8, 8), (16, 16), (32, 6), (64, 8))
+
+
+def flipped_product(n: int, seed: int):
+    """A, B, A·B and A·B with one flipped entry, as criterion 8 draws them."""
+    rng = random.Random(seed)
+    a = random_matrix(n, n, rng)
+    b = random_matrix(n, n, rng)
+    c = matmul(a, b)
+    row, col = rng.randrange(n), rng.randrange(n)
+    words = list(c.row_words)
+    words[row] ^= 1 << col
+    return a, b, c, BitMatrix(n, n, tuple(words))
+
+
+def verify_lines():
+    for base, flipped in ((1000, True), (5000, False)):
+        for i in range(100):
+            a, b, c, bad = flipped_product(16, base + i)
+            cfg = ExperimentConfig(n=16, m=16, mismatches=0, shots=1024,
+                                   seed=base + i, trials=8)
+            report = qvmp_verify(a, b, bad if flipped else c, cfg)
+            report.timings = {key: None for key in report.timings}
+            yield report.to_json()
+
+
+def metrics_lines():
+    for seed in range(10):
+        yield metrics_to_csv(emit_metrics(seed=seed))
+
+
+def histogram_lines():
+    for mode, n, m, mismatches, seed in HISTOGRAM_CASES:
+        inst = generate_instance(n, m, mismatches, seed)
+        plan = plan_iterations(n, len(inst.solutions), mode)
+        yield json.dumps(emit_histogram(inst, plan, 4096, seed), sort_keys=True)
+
+
+def scan_lines():
+    inst = generate_instance(8, 4, (2, 5, 7), seed=3)
+    for dual in (False, True):
+        yield repr(scan_success_probability(inst, 4, dual=dual))
+
+
+def search_lines():
+    for n, m in SEARCH_SIZES:
+        inst = generate_instance(n, m, 2, seed=n + m)
+        for k in range(4):
+            for dual in (False, True):
+                c = build_grover_search(inst, k, dual=dual)
+                yield circuit.dump(c)
+                yield json.dumps(circuit.metrics(c))
+
+
+FAMILIES = {
+    "verify": verify_lines,
+    "metrics": metrics_lines,
+    "histogram": histogram_lines,
+    "scan": scan_lines,
+    "search": search_lines,
+}
+
+
+def main() -> None:
+    for name, lines in FAMILIES.items():
+        digest = hashlib.sha256()
+        for line in lines():
+            digest.update(line.encode())
+            digest.update(b"\n")
+        print(f"{name} {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

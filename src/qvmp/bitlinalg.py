@@ -132,6 +132,8 @@ class BitMatrix:
         return BitVector(self.row_words[j], self.cols)
 
     def entry(self, i: int, j: int) -> int:
+        if not 0 <= i < self.rows:
+            raise IndexError(i)
         if not 0 <= j < self.cols:
             raise IndexError(j)
         return (self.row_words[i] >> j) & 1
@@ -293,6 +295,8 @@ def matrix_from_json(obj: dict) -> BitMatrix:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (TypeError, KeyError) as e:
         raise FormatError("JSON matrix needs rows, cols and data") from e
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise FormatError("JSON matrix data must be a list of rows, each a list")
     if len(data) != rows or any(len(r) != cols for r in data):
         raise FormatError("JSON matrix shape does not match data")
     return BitMatrix.from_rows(data)

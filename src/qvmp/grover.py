@@ -5,7 +5,12 @@ in that global order. One search oracle loads row j of the table [A | z]
 into a and z with a read-only-memory lookup, adds the inner product a·y
 into the z qubit, applies Z there, and uncomputes. A diffuser on the
 address register completes one Grover iteration; measuring the address
-register yields candidate row indices.
+register yields candidate row indices. That is log2(n) + 2m + 1 qubits.
+
+The compact form (``fold_y``) is the same circuit partially evaluated on
+the classical y: each inner-product gate on a set y bit becomes a cx and
+the rest drop out, so the y register goes and log2(n) + m + 1 qubits
+remain.
 """
 from __future__ import annotations
 
@@ -28,9 +33,7 @@ __all__ = [
     "build_inner_product",
     "build_diffuser",
     "build_oracle",
-    "build_grover_state",
     "build_grover_search",
-    "build_grover_search_compact",
     "scan_success_probability",
     "search_qubit_count",
 ]
@@ -200,12 +203,13 @@ def build_diffuser(k: int) -> Circuit:
     return c.freeze()
 
 
-def _oracle_registers(inst: QvmpInstance, classical_bits: int = 0) -> Circuit:
+def _search_registers(inst: QvmpInstance, fold_y: bool, classical_bits: int = 0) -> Circuit:
     k, m = inst.address_bits, inst.m
-    return Circuit((("address", k), ("a", m), ("y", m), ("z", 1)), classical_bits)
+    y = () if fold_y else (("y", m),)
+    return Circuit((("address", k), ("a", m)) + y + (("z", 1),), classical_bits)
 
 
-def build_oracle(inst: QvmpInstance, dual: bool = False) -> Circuit:
+def build_oracle(inst: QvmpInstance, dual: bool = False, fold_y: bool = False) -> Circuit:
     """Phase oracle for the row-mismatch predicate.
 
     With y loaded and the a/z ancillas at |0>, maps each address basis
@@ -213,123 +217,77 @@ def build_oracle(inst: QvmpInstance, dual: bool = False) -> Circuit:
     ancillas. The lookup loads [A | z] so the z qubit doubles as the
     inner-product target; a lone Z there converts marking into phase.
     ``dual`` conjugates that Z with X to flip matching rows instead.
+    ``fold_y`` drops the y register: y never leaves its loaded basis
+    state, so the inner product is one cx per set bit of y.
     """
-    c = _oracle_registers(inst)
-    k, m = inst.address_bits, inst.m
-    addr = c.qubits("address")
+    c = _search_registers(inst, fold_y)
+    m = inst.m
     areg = c.qubits("a")
-    yreg = c.qubits("y")
     z = c.qubit("z", 0)
 
     db = build_qrom(append_column(inst.matrix, inst.z))
-    dot = build_inner_product(m)
-    db_map = addr + areg + [z]
-    dot_map = areg + yreg + [z]
+    db_map = c.qubits("address") + areg + [z]
+    if fold_y:
+        dot = Circuit((("a", m), ("out", 1)))
+        for i in range(m):
+            if inst.y[i]:
+                dot.cx(dot.qubit("a", i), dot.qubit("out", 0))
+        dot_map = areg + [z]
+    else:
+        dot = build_inner_product(m)
+        dot_map = areg + c.qubits("y") + [z]
 
     c.extend(db, db_map)
     c.extend(dot, dot_map)
     if dual:
         c.x(z)
-        c.z(z)
+    c.z(z)
+    if dual:
         c.x(z)
-    else:
-        c.z(z)
     c.extend(inverse(dot), dot_map)
     c.extend(inverse(db), db_map)
     return c.freeze()
 
 
-def build_grover_state(inst: QvmpInstance, iterations: int, dual: bool = False) -> Circuit:
-    """Search circuit without the terminal measurement: uniform address
-    superposition, y loaded by X gates, then (oracle, diffuser) repeated."""
-    return _prepare_search(_oracle_registers(inst), inst, iterations, dual).freeze()
-
-
-def _prepare_search(c: Circuit, inst: QvmpInstance, iterations: int, dual: bool) -> Circuit:
-    """Write ``build_grover_state``'s gates into ``c`` in place."""
-    if iterations < 0:
-        raise ContractError("iterations must be >= 0")
-    for q in c.qubits("address"):
-        c.h(q)
-    for i in range(inst.m):
-        if inst.y[i]:
-            c.x(c.qubit("y", i))
-    if iterations:
-        step = _grover_iteration(inst, dual)
-        for _ in range(iterations):
-            c.extend(step)
-    return c
-
-
-def _grover_iteration(inst: QvmpInstance, dual: bool) -> Circuit:
+def _grover_iteration(inst: QvmpInstance, dual: bool, fold_y: bool) -> Circuit:
     """One (oracle, diffuser) pair on the search registers."""
-    c = _oracle_registers(inst)
-    c.extend(build_oracle(inst, dual=dual))
+    c = _search_registers(inst, fold_y)
+    c.extend(build_oracle(inst, dual=dual, fold_y=fold_y))
     c.extend(build_diffuser(inst.address_bits), c.qubits("address"))
     return c.freeze()
 
 
-def build_grover_search(inst: QvmpInstance, iterations: int, dual: bool = False) -> Circuit:
-    """Full search circuit: state preparation, iterations, then measurement
-    of address qubit i into classical bit i."""
-    c = _prepare_search(_oracle_registers(inst, inst.address_bits), inst, iterations, dual)
-    for i, q in enumerate(c.qubits("address")):
-        c.measure(q, i)
-    return c.freeze()
+def build_grover_search(inst: QvmpInstance, iterations: int, dual: bool = False, *,
+                        fold_y: bool = False, measure: bool = True) -> Circuit:
+    """Search circuit: uniform address superposition, y loaded by X gates,
+    (oracle, diffuser) repeated ``iterations`` times, then, with
+    ``measure``, address qubit i measured into classical bit i.
 
-
-def build_grover_search_compact(inst: QvmpInstance, iterations: int,
-                                dual: bool = False, measure: bool = True) -> Circuit:
-    """Search circuit with the classical y register folded away.
-
-    y never leaves its loaded basis state, so each inner-product gate
-    controlled on a set y bit reduces to cx and the rest drop out. The
-    state map on address, a and z is identical to the full circuit's;
-    the qubit count drops from log2(n)+2m+1 to log2(n)+m+1, which is what
-    lets the verification driver simulate m = n instances.
+    ``fold_y`` builds the compact form that the verification driver
+    simulates: the classical y register is folded into the oracle (see
+    ``build_oracle``), which leaves the state map on address, a and z
+    unchanged and drops the qubit count to log2(n)+m+1. With no iterations
+    nothing touches the lookup registers, so only the address is declared.
     """
     if iterations < 0:
         raise ContractError("iterations must be >= 0")
-    k, m = inst.address_bits, inst.m
-    if iterations == 0:
-        # Nothing touches the lookup registers; keep only the address.
-        c = Circuit((("address", k),), k if measure else 0)
-        for q in c.qubits("address"):
-            c.h(q)
-        if measure:
-            for i, q in enumerate(c.qubits("address")):
-                c.measure(q, i)
-        return c.freeze()
-    c = Circuit((("address", k), ("a", m), ("z", 1)), k if measure else 0)
+    k = inst.address_bits
+    bits = k if measure else 0
+    if fold_y and not iterations:
+        c = Circuit((("address", k),), bits)
+    else:
+        c = _search_registers(inst, fold_y, bits)
     addr = c.qubits("address")
-    areg = c.qubits("a")
-    z = c.qubit("z", 0)
     for q in addr:
         c.h(q)
-
-    db = build_qrom(append_column(inst.matrix, inst.z))
-    db_map = addr + areg + [z]
-    set_bits = [i for i in range(m) if inst.y[i]]
-
-    def dot_folded() -> None:
-        for i in set_bits:
-            c.cx(areg[i], z)
-
-    undo_db = inverse(db)
-    diffuser = build_diffuser(k)
-    for _ in range(iterations):
-        c.extend(db, db_map)
-        dot_folded()
-        if dual:
-            c.x(z)
-            c.z(z)
-            c.x(z)
-        else:
-            c.z(z)
-        for i in reversed(set_bits):
-            c.cx(areg[i], z)
-        c.extend(undo_db, db_map)
-        c.extend(diffuser, addr)
+    if not fold_y:
+        for i in range(inst.m):
+            if inst.y[i]:
+                c.x(c.qubit("y", i))
+    if iterations:
+        step = _grover_iteration(inst, dual, fold_y)
+        for _ in range(iterations):
+            c.extend(step)
     if measure:
         for i, q in enumerate(addr):
             c.measure(q, i)
@@ -349,8 +307,8 @@ def scan_success_probability(inst: QvmpInstance, max_iters: int,
         tracked = set(range(inst.n)) - tracked
     # Address qubit i is global qubit i, so marginal index j is address j.
     address = list(range(inst.address_bits))
-    step = _grover_iteration(inst, dual)
-    state = _evolve(build_grover_state(inst, 0, dual=dual))
+    step = _grover_iteration(inst, dual, False)
+    state = _evolve(build_grover_search(inst, 0, dual=dual, measure=False))
     out = []
     for k in range(max_iters + 1):
         if k:

@@ -27,12 +27,7 @@ from .bitlinalg import (
     random_vector,
 )
 from .errors import ContractError, DimensionError
-from .grover import (
-    QvmpInstance,
-    build_grover_search,
-    build_grover_search_compact,
-    plan_iterations,
-)
+from .grover import QvmpInstance, build_grover_search, plan_iterations
 from .simulator import Histogram, _run, run
 
 __all__ = [
@@ -45,7 +40,7 @@ __all__ = [
     "DEFAULT_METRICS_GRID",
 ]
 
-ITERATION_MODES = ("optimal", "qvmp", "explicit", "dual", "scan")
+ITERATION_MODES = ("optimal", "qvmp", "explicit", "dual")
 
 # (n, m, mismatches) rows reported by the metrics command by default.
 DEFAULT_METRICS_GRID = (
@@ -138,13 +133,6 @@ def generate_instance(n: int, m: int, mismatch_spec, seed: int) -> QvmpInstance:
     return QvmpInstance(a, y, BitVector(z_bits, n))
 
 
-def _plan_for_trial(n: int, solution_count: int, cfg: ExperimentConfig):
-    mode = cfg.iteration_mode
-    if mode == "scan":
-        raise ContractError("scan mode does not drive verification")
-    return plan_iterations(n, solution_count, mode, cfg.explicit_iterations)
-
-
 def _candidate_address(hist: Histogram, n: int, dual: bool) -> int:
     """Row index to check classically: the modal measured address, or, in
     dual mode (matching rows amplified), the rarest address."""
@@ -208,9 +196,10 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
             z = matvec(c_i, x)
             inst = QvmpInstance(a, y, z)
             solution_count = len(inst.solutions)
-            plan = _plan_for_trial(n, solution_count, cfg)
+            plan = plan_iterations(n, solution_count, cfg.iteration_mode,
+                                   cfg.explicit_iterations)
             t0 = time.perf_counter()
-            search = build_grover_search_compact(inst, plan.iterations, dual=dual)
+            search = build_grover_search(inst, plan.iterations, dual=dual, fold_y=True)
             timings["build"] += time.perf_counter() - t0
             stats = None
             if widest is None or plan.iterations > widest[0]:

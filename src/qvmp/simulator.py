@@ -18,12 +18,13 @@ Once an H leaves more than 2^n / ``_DENSE_FRACTION`` amplitudes, the
 sparse state is scattered into a dense complex128 array of 2^n amplitudes
 and the remaining gates run on it, from that gate on. Dense gates are NumPy
 slices of its (2,)*n view: a gate touches only the stratum its controls
-select, so work scales with the amplitudes it changes. The
-qubit cap (``QVMP_SIM_MAX_QUBITS``, default 26, or ``statevector``'s
-``max_qubits``) bounds the amplitudes held in either shape: a dense
-handoff, a ``statevector`` result or an outcome marginal wider than the
-cap raises ResourceError, and so does a sparse state of more than 2^cap
-entries, since a circuit wider than the cap cannot hand off.
+select, so work scales with the amplitudes it changes. The qubit cap
+(``QVMP_SIM_MAX_QUBITS``, a nonnegative integer, default 26, or
+``statevector``'s ``max_qubits``) bounds the amplitudes held in either
+shape: a dense handoff, a ``statevector`` result or an outcome marginal
+wider than the cap raises ResourceError, and so does a sparse state of
+more than 2^cap entries, since a circuit wider than the cap cannot hand
+off.
 
 Bare X gates are tracked in both shapes as an index-relabelling frame (an
 XOR mask over amplitude indices) instead of moving amplitudes; the other
@@ -77,7 +78,11 @@ def backend_name() -> str:
 
 def qubit_cap() -> int:
     env = os.environ.get("QVMP_SIM_MAX_QUBITS")
-    return int(env) if env else DEFAULT_MAX_QUBITS
+    if not env:
+        return DEFAULT_MAX_QUBITS
+    if not env.strip().isdecimal():
+        raise ContractError(f"QVMP_SIM_MAX_QUBITS must be a nonnegative integer, got {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)

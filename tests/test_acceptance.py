@@ -23,7 +23,6 @@ from qvmp.grover import (
     QvmpInstance,
     build_diffuser,
     build_grover_search,
-    build_grover_state,
     build_inner_product,
     build_oracle,
     build_qrom,
@@ -88,7 +87,7 @@ def test_criterion_3_three_solution_regime():
     inst = generate_instance(8, 8, (2, 5, 7), seed=3)
     assert inst.solutions == {2, 5, 7}
     exact_mass = math.sin(3 * math.asin(math.sqrt(3 / 8))) ** 2
-    state = build_grover_state(inst, 1)
+    state = build_grover_search(inst, 1, measure=False)
     probs = probabilities(state, state.qubits("address"))
     mass = probs["010"] + probs["101"] + probs["111"]
     assert abs(mass - exact_mass) < 1e-9
@@ -103,7 +102,7 @@ def test_criterion_3_three_solution_regime():
 def test_criterion_4_no_solution_uniformity():
     inst = generate_instance(8, 8, 0, seed=4)
     for k in range(5):
-        state = build_grover_state(inst, k)
+        state = build_grover_search(inst, k, measure=False)
         probs = probabilities(state, state.qubits("address"))
         for key, p in probs.items():
             assert abs(p - 1 / 8) < 1e-9, (k, key)

@@ -74,6 +74,11 @@ class TestBitMatrix:
         assert m.entry(1, 2) == 1
         assert m.to_rows() == EXAMPLE_ROWS
 
+    @pytest.mark.parametrize("i,j", [(-1, 3), (4, 0), (0, -1), (0, 4)])
+    def test_entry_out_of_range(self, i, j):
+        with pytest.raises(IndexError):
+            BitMatrix.identity(4).entry(i, j)
+
     def test_validation(self):
         with pytest.raises(DimensionError):
             BitMatrix.from_rows([[0, 1], [1]])
@@ -309,7 +314,8 @@ class TestFormats:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "2 2\n1 0\n", "2 2\n1 0\n0 x\n", "nope\n1\n", '{"rows": 2}'],
+        ["", "2 2\n1 0\n", "2 2\n1 0\n0 x\n", "nope\n1\n", '{"rows": 2}',
+         '{"rows": 4, "cols": 4, "data": 5}', '{"rows": 2, "cols": 2, "data": [[0, 1], 5]}'],
     )
     def test_bad_inputs(self, text):
         with pytest.raises(FormatError):

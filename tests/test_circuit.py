@@ -27,8 +27,6 @@ from qvmp.circuit import (
 from qvmp.errors import CompositionError, ContractError, InversionError
 from qvmp.grover import (
     build_grover_search,
-    build_grover_search_compact,
-    build_grover_state,
     plan_iterations,
 )
 from qvmp.runner import generate_instance
@@ -485,9 +483,9 @@ class TestLoweredMetrics:
         for c in (
             build_grover_search(inst, iterations),
             build_grover_search(inst, iterations, dual=True),
-            build_grover_search_compact(inst, iterations),
-            build_grover_search_compact(inst, iterations, measure=False),
-            build_grover_state(inst, iterations),
+            build_grover_search(inst, iterations, fold_y=True),
+            build_grover_search(inst, iterations, fold_y=True, measure=False),
+            build_grover_search(inst, iterations, measure=False),
         ):
             assert_lowered_metrics_exact(c)
 

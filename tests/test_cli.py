@@ -66,6 +66,15 @@ class TestVerifyCommand:
         p.write_text("not a matrix\n")
         assert main(["verify", str(p), str(p), str(p)]) == 2
 
+    @pytest.mark.parametrize("text", ['{"rows": 4, "cols": 4, "data": 5}',
+                                      '{"rows": 2, "cols": 2, "data": [[0, 1], 5]}',
+                                      '{"rows": 1, "cols": 1, "data": [null]}'])
+    def test_bad_json_matrix_exit_two(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["verify", str(p), str(p), str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify"])  # missing operands
@@ -101,6 +110,14 @@ class TestHistogramCommand:
         ])
         assert code == 0
         assert "bitstring,count,probability" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_invalid_qubit_cap_exit_two(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("QVMP_SIM_MAX_QUBITS", value)
+        assert main(["histogram", "--n", "4", "--m", "2", "--shots", "16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "QVMP_SIM_MAX_QUBITS" in err
 
 
 class TestMetricsCommand:

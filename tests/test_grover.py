@@ -13,14 +13,12 @@ from qvmp.bitlinalg import (
     random_matrix,
     random_vector,
 )
-from qvmp.circuit import CCX, CX, H, MCX, X, Z, Circuit, compose, gate_counts, inverse
+from qvmp.circuit import CCX, CX, H, MCX, X, Z, Circuit, Gate, compose, gate_counts, inverse
 from qvmp.errors import ContractError, DimensionError
 from qvmp.grover import (
     QvmpInstance,
     build_diffuser,
     build_grover_search,
-    build_grover_search_compact,
-    build_grover_state,
     build_inner_product,
     build_oracle,
     build_qrom,
@@ -342,7 +340,7 @@ class TestPlanning:
 class TestGroverSearch:
     def test_zero_iterations_uniform(self):
         inst = make_instance(8, 4, {3}, seed=10)
-        state = build_grover_state(inst, 0)
+        state = build_grover_search(inst, 0, measure=False)
         probs = probabilities(state, state.qubits("address"))
         assert all(abs(p - 0.125) < 1e-12 for p in probs.values())
         hist = run(build_grover_search(inst, 0), 4096, seed=0)
@@ -351,13 +349,13 @@ class TestGroverSearch:
     def test_single_solution_n4_exact(self):
         # one iteration at n=4, M=1 lands exactly on the solution
         inst = make_instance(4, 4, {2}, seed=11)
-        state = build_grover_state(inst, 1)
+        state = build_grover_search(inst, 1, measure=False)
         probs = probabilities(state, state.qubits("address"))
         assert abs(probs["10"] - 1.0) < 1e-9
 
     def test_three_solutions_n8(self):
         inst = make_instance(8, 8, {2, 5, 7}, seed=12)
-        state = build_grover_state(inst, 1)
+        state = build_grover_search(inst, 1, measure=False)
         probs = probabilities(state, state.qubits("address"))
         mass = probs["010"] + probs["101"] + probs["111"]
         assert abs(mass - 27 / 32) < 1e-9
@@ -378,14 +376,14 @@ class TestGroverSearch:
     def test_rejects_negative_iterations(self):
         inst = make_instance(4, 2, {1}, seed=14)
         with pytest.raises(ContractError):
-            build_grover_state(inst, -1)
+            build_grover_search(inst, -1, measure=False)
 
     @pytest.mark.parametrize("iterations", [0, 1, 2])
     @pytest.mark.parametrize("dual", [False, True])
     def test_compact_matches_full_marginal(self, iterations, dual):
         inst = make_instance(8, 4, {1, 6}, seed=15)
-        full = build_grover_state(inst, iterations, dual=dual)
-        compact = build_grover_search_compact(inst, iterations, dual=dual, measure=False)
+        full = build_grover_search(inst, iterations, dual=dual, measure=False)
+        compact = build_grover_search(inst, iterations, dual=dual, fold_y=True, measure=False)
         p_full = probabilities(full, full.qubits("address"))
         p_compact = probabilities(compact, compact.qubits("address"))
         for key, p in p_full.items():
@@ -393,18 +391,49 @@ class TestGroverSearch:
 
     def test_compact_zero_iterations_trims_registers(self):
         inst = make_instance(16, 16, {3}, seed=16)
-        c = build_grover_search_compact(inst, 0)
+        c = build_grover_search(inst, 0, fold_y=True)
         assert c.num_qubits == 4
 
     def test_compact_qubit_count(self):
         inst = make_instance(16, 16, {3}, seed=17)
-        c = build_grover_search_compact(inst, 1)
+        c = build_grover_search(inst, 1, fold_y=True)
         assert c.num_qubits == 4 + 16 + 1
+
+    @pytest.mark.parametrize("n,m,seed", [(4, 4, 31), (8, 5, 32), (16, 8, 33), (32, 6, 34)])
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_fold_y_is_partial_evaluation_on_y(self, n, m, seed, dual, iterations):
+        # Evaluate the unfolded circuit on the classical y by hand: drop the
+        # X gates that load y, keep ccx(a_i, y_i, z) as cx(a_i, z) where
+        # y_i = 1 and drop it where y_i = 0, and renumber past the y register.
+        inst = make_instance(n, m, {1, n - 1}, seed=seed)
+        assert 0 < inst.y.bits < (1 << m) - 1  # both kinds of y bit occur
+        full = build_grover_search(inst, iterations, dual=dual)
+        y_reg = full.qubits("y")
+        y_of = {q.global_index: q.index for q in y_reg}
+        past_y = y_reg[-1].global_index
+
+        def renumber(qs):
+            return tuple(q - m if q > past_y else q for q in qs)
+
+        expected = []
+        for g in full.gates:
+            ys = [q for q in g.qubits() if q in y_of]
+            if not ys:
+                expected.append(Gate(g.kind, renumber(g.controls), renumber(g.targets), g.classical))
+                continue
+            assert g.kind == X or g.kind == CCX
+            if g.kind == CCX and inst.y[y_of[ys[0]]]:
+                a_i = [q for q in g.controls if q not in y_of]
+                expected.append(Gate(CX, renumber(a_i), renumber(g.targets)))
+        folded = build_grover_search(inst, iterations, dual=dual, fold_y=True)
+        assert folded.gates == expected
+        assert folded.registers == tuple(r for r in full.registers if r[0] != "y")
 
 
 class TestLinearConstruction:
-    @pytest.mark.parametrize("builder", [build_grover_search, build_grover_search_compact])
-    def test_each_iteration_writes_its_gates_once(self, builder, monkeypatch):
+    @pytest.mark.parametrize("fold_y", [False, True], ids=["build_grover_search", "fold_y"])
+    def test_each_iteration_writes_its_gates_once(self, fold_y, monkeypatch):
         """Gates written by append and extend, counted without timing:
         going from k to k' iterations writes exactly the gates the extra
         iterations add, so no earlier iteration is copied again."""
@@ -425,7 +454,7 @@ class TestLinearConstruction:
         cost, size = {}, {}
         for k in (1, 2, 4):
             written[0] = 0
-            size[k] = len(builder(inst, k))
+            size[k] = len(build_grover_search(inst, k, fold_y=fold_y))
             cost[k] = written[0]
         per_iteration = size[2] - size[1]
         assert per_iteration > 0
@@ -483,7 +512,7 @@ class TestScan:
         # one preparation plus one (oracle, diffuser) step per k >= 1
         assert len(calls) == 5
         for k, p in scan:
-            circ = build_grover_state(inst, k)
+            circ = build_grover_search(inst, k, measure=False)
             marginal = probabilities(circ, circ.qubits("address"))
             assert abs(p - sum(marginal[format(j, "03b")] for j in (1, 6))) < 1e-12
 

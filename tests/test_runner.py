@@ -6,7 +6,7 @@ import pytest
 from qvmp.bitlinalg import BitMatrix, format_matrix, matmul, random_matrix
 import qvmp.simulator as simulator
 from qvmp.errors import ContractError, DimensionError, ResourceError
-from qvmp.grover import build_grover_search, build_grover_search_compact, plan_iterations
+from qvmp.grover import build_grover_search, plan_iterations
 from qvmp.runner import (
     DEFAULT_METRICS_GRID,
     METRICS_FIELDS,
@@ -152,7 +152,7 @@ class TestVerify:
 
         built, measured, lowered = [], [], []
         build, lowered_metrics, lower = (
-            runner.build_grover_search_compact, circuit.lowered_metrics, circuit.lower)
+            runner.build_grover_search, circuit.lowered_metrics, circuit.lower)
 
         def recording_build(inst, iterations, **kwargs):
             built.append((iterations, build(inst, iterations, **kwargs)))
@@ -166,7 +166,7 @@ class TestVerify:
             lowered.append(c)
             return lower(c)
 
-        monkeypatch.setattr(runner, "build_grover_search_compact", recording_build)
+        monkeypatch.setattr(runner, "build_grover_search", recording_build)
         monkeypatch.setattr(circuit, "lowered_metrics", recording_lowered_metrics)
         monkeypatch.setattr(circuit, "lower", recording_lower)
         a, b, _, bad, _, _ = flipped_product(8, seed=0)
@@ -191,7 +191,7 @@ class TestVerify:
 
     def test_compact_64_exceeds_sparse_index_limit(self):
         inst = generate_instance(64, 64, 1, seed=0)
-        search = build_grover_search_compact(inst, 1)
+        search = build_grover_search(inst, 1, fold_y=True)
         assert search.num_qubits == 71
         with pytest.raises(ResourceError, match="sparse index limit"):
             run(search, 16, seed=0)
@@ -216,11 +216,8 @@ class TestVerify:
         assert report.decision == "consistent"
 
     def test_scan_mode_rejected(self):
-        rng = random.Random(0)
-        a = random_matrix(4, 4, rng)
-        cfg = ExperimentConfig(n=4, m=4, mismatches=0, iteration_mode="scan")
         with pytest.raises(ContractError):
-            qvmp_verify(a, a, a, cfg)
+            ExperimentConfig(n=4, m=4, mismatches=0, iteration_mode="scan")
 
     def test_shape_errors(self):
         cfg = ExperimentConfig(n=4, m=4, mismatches=0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qvmp.circuit import Circuit
 from qvmp.errors import ContractError, FormatError, ResourceError
-from qvmp.grover import build_grover_search, build_grover_search_compact, plan_iterations
+from qvmp.grover import build_grover_search, plan_iterations
 from qvmp.runner import generate_instance
 from qvmp.simulator import (
     SPARSE_MAX_QUBITS,
@@ -133,12 +133,12 @@ class TestSparseEngine:
         assert np.max(np.abs(amps - reference_amplitudes(c, 6))) < 1e-12
 
     @pytest.mark.parametrize("n,m", [(4, 4), (8, 8), (16, 16)])
-    @pytest.mark.parametrize("builder", [build_grover_search_compact, build_grover_search])
-    def test_search_circuits_prune_nothing(self, n, m, builder):
+    @pytest.mark.parametrize("fold_y", [True, False], ids=["fold_y", "build_grover_search"])
+    def test_search_circuits_prune_nothing(self, n, m, fold_y):
         inst = generate_instance(n, m, 1, seed=n)
         plan = plan_iterations(n, 1, "optimal")
         stats = {}
-        run(builder(inst, plan.iterations), 256, seed=0, stats=stats)
+        run(build_grover_search(inst, plan.iterations, fold_y=fold_y), 256, seed=0, stats=stats)
         assert stats["engine"] == "sparse"
         assert stats["peak_support"] <= n
         assert stats["pruned_mass"] <= 1e-12
@@ -250,6 +250,12 @@ class TestStatevector:
             statevector(c)
         sv = statevector(c, max_qubits=5)
         assert sv.amplitudes.size == 32
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_invalid_qubit_cap_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("QVMP_SIM_MAX_QUBITS", value)
+        with pytest.raises(ContractError, match="QVMP_SIM_MAX_QUBITS"):
+            probabilities(bell_circuit())
 
     def test_norm_preserved_at_every_prefix(self):
         rng = random.Random(0)
