@@ -14,7 +14,11 @@ byte-identical. The families are
 - ``histogram``: ``emit_histogram`` payloads in optimal, dual and qvmp modes;
 - ``scan``: ``scan_success_probability``, plain and dual;
 - ``search``: ``dump`` and ``metrics`` of ``build_grover_search``, plain and
-  dual, for several sizes and iteration counts.
+  dual, for several sizes and iteration counts;
+- ``builders``: ``dump`` and registers of the public sub-builders on the
+  same sizes: ``build_qrom`` of each instance's [A | z] table,
+  ``build_inner_product(m)``, ``build_diffuser(log2 n)`` and
+  ``build_oracle`` for all four (dual, fold_y) pairs.
 
 Only long-standing public API is used, so the script runs unchanged on
 older checkouts.
@@ -26,8 +30,16 @@ import json
 import random
 
 from qvmp import circuit
-from qvmp.bitlinalg import BitMatrix, matmul, random_matrix
-from qvmp.grover import build_grover_search, plan_iterations, scan_success_probability
+from qvmp.bitlinalg import BitMatrix, append_column, matmul, random_matrix
+from qvmp.grover import (
+    build_diffuser,
+    build_grover_search,
+    build_inner_product,
+    build_oracle,
+    build_qrom,
+    plan_iterations,
+    scan_success_probability,
+)
 from qvmp.runner import (
     ExperimentConfig,
     emit_histogram,
@@ -97,12 +109,26 @@ def search_lines():
                 yield json.dumps(circuit.metrics(c))
 
 
+def builders_lines():
+    for n, m in SEARCH_SIZES:
+        inst = generate_instance(n, m, 2, seed=n + m)
+        built = [build_qrom(append_column(inst.matrix, inst.z)),
+                 build_inner_product(m), build_diffuser(inst.address_bits)]
+        for dual in (False, True):
+            for fold_y in (False, True):
+                built.append(build_oracle(inst, dual, fold_y))
+        for c in built:
+            yield circuit.dump(c)
+            yield repr(c.registers)
+
+
 FAMILIES = {
     "verify": verify_lines,
     "metrics": metrics_lines,
     "histogram": histogram_lines,
     "scan": scan_lines,
     "search": search_lines,
+    "builders": builders_lines,
 }
 
 

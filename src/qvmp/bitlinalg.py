@@ -49,8 +49,8 @@ class BitVector:
     @classmethod
     def from_bits(cls, elements: Iterable[int]) -> BitVector:
         elems = list(elements)
-        if any(e not in (0, 1) for e in elems):
-            raise DimensionError("vector elements must be 0 or 1")
+        if any(not isinstance(e, int) or e not in (0, 1) for e in elems):
+            raise DimensionError("vector elements must be the integers 0 or 1")
         bits = 0
         for i, e in enumerate(elems):
             bits |= e << i

@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .bitlinalg import BitMatrix, BitVector, append_column, mismatch_rows
-from .circuit import X, Circuit, Gate, _x_kind, inverse
+from .circuit import CCX, CX, H, X, Z, Circuit, Gate, _x_kind
 from .errors import ContractError, DimensionError
 from .simulator import _evolve
 
@@ -137,38 +138,62 @@ def plan_iterations(n: int, solution_count: int, mode: str = "optimal",
     return GroverPlan(n, solution_count, n_opt, n_qvmp, iterations, mode, dual_recommended)
 
 
-def build_qrom(table: BitMatrix, address: str = "address", data: str = "data") -> Circuit:
-    """Read-only table lookup: |r>|0..0> -> |r>|row_r>.
+def _wires(c: Circuit, register: str) -> list[int]:
+    return [q.global_index for q in c.qubits(register)]
+
+
+def _appended(c: Circuit, gates: list[Gate]) -> Circuit:
+    """``c`` with ``gates`` appended in order, frozen."""
+    append = c.append
+    for g in gates:
+        append(g)
+    return c.freeze()
+
+
+def _lookup_gates(table: BitMatrix, address: Sequence[int], data: Sequence[int]) -> list[Gate]:
+    """Read-only table lookup: |r>|0..0> -> |r>|row_r> on the given qubits.
 
     One chunk per row: X gates select the address (flipping qubits where
     the row index has a 0 bit), a multi-controlled NOT per set bit of the
-    row writes the data qubits, and the X gates are undone. The gates are
-    made once per table and appended per row.
+    row writes the data qubits, and the X gates are undone. The select and
+    write gates are made once per table and shared by every row.
     """
-    n, m = table.rows, table.cols
+    address = tuple(address)
+    k = len(address)
+    select = [Gate(X, (), (q,)) for q in address]
+    write = [Gate(_x_kind(k), address, (q,)) for q in data]
+    gates: list[Gate] = []
+    for r, word in enumerate(table.row_words):
+        flips = [select[i] for i in range(k) if not (r >> i) & 1]
+        gates += flips
+        gates += [w for i, w in enumerate(write) if word >> i & 1]
+        gates += flips
+    return gates
+
+
+def _inner_product_gates(a: Sequence[int], b: Sequence[int], out: int) -> list[Gate]:
+    """out ^= a·b mod 2: one ccx per column."""
+    return [Gate(CCX, (ai, bi), (out,)) for ai, bi in zip(a, b)]
+
+
+def _diffuser_gates(qubits: Sequence[int]) -> list[Gate]:
+    """Reflection about the uniform superposition on ``qubits``, as H and X
+    layers around a multi-controlled Z realized with H on the last qubit."""
+    *controls, last = qubits
+    hs = [Gate(H, (), (q,)) for q in qubits]
+    xs = [Gate(X, (), (q,)) for q in qubits]
+    core = [hs[-1], Gate(_x_kind(len(controls)), tuple(controls), (last,)), hs[-1]]
+    return hs + xs + core + xs + hs
+
+
+def build_qrom(table: BitMatrix) -> Circuit:
+    """Read-only table lookup on registers address (log2 n) and data (m):
+    |r>|0..0> -> |r>|row_r>, one select-write-unselect chunk per row."""
+    n = table.rows
     if n < 2 or n & (n - 1):
         raise DimensionError(f"table rows must be a power of two >= 2, got {n}")
-    k = n.bit_length() - 1
-    c = Circuit(((address, k), (data, m)))
-    addr = tuple(q.global_index for q in c.qubits(address))
-    kind = _x_kind(k)
-    select = [Gate(X, (), (q,)) for q in addr]
-    write = [Gate(kind, addr, (q.global_index,)) for q in c.qubits(data)]
-    append = c.append
-    for r in range(n):
-        flips = [select[i] for i in range(k) if not (r >> i) & 1]
-        for g in flips:
-            append(g)
-        word = table.row_words[r]
-        col = 0
-        while word:
-            if word & 1:
-                append(write[col])
-            word >>= 1
-            col += 1
-        for g in flips:
-            append(g)
-    return c.freeze()
+    c = Circuit((("address", n.bit_length() - 1), ("data", table.cols)))
+    return _appended(c, _lookup_gates(table, _wires(c, "address"), _wires(c, "data")))
 
 
 def build_inner_product(m: int) -> Circuit:
@@ -176,31 +201,16 @@ def build_inner_product(m: int) -> Circuit:
     if m < 1:
         raise DimensionError("vector length must be >= 1")
     c = Circuit((("a", m), ("b", m), ("out", 1)))
-    out = c.qubit("out", 0)
-    for i in range(m):
-        c.ccx(c.qubit("a", i), c.qubit("b", i), out)
-    return c.freeze()
+    out = c.qubit("out", 0).global_index
+    return _appended(c, _inner_product_gates(_wires(c, "a"), _wires(c, "b"), out))
 
 
 def build_diffuser(k: int) -> Circuit:
-    """Reflection about the uniform superposition on k qubits, as H and X
-    layers around a multi-controlled Z realized with H on the last qubit."""
+    """Reflection about the uniform superposition on a k-qubit register q."""
     if k < 1:
         raise DimensionError("diffuser needs at least one qubit")
     c = Circuit((("q", k),))
-    qs = [c.qubit("q", i) for i in range(k)]
-    for q in qs:
-        c.h(q)
-    for q in qs:
-        c.x(q)
-    c.h(qs[-1])
-    c.mcx(qs[:-1], qs[-1])
-    c.h(qs[-1])
-    for q in qs:
-        c.x(q)
-    for q in qs:
-        c.h(q)
-    return c.freeze()
+    return _appended(c, _diffuser_gates(_wires(c, "q")))
 
 
 def _search_registers(inst: QvmpInstance, fold_y: bool, classical_bits: int = 0) -> Circuit:
@@ -209,52 +219,41 @@ def _search_registers(inst: QvmpInstance, fold_y: bool, classical_bits: int = 0)
     return Circuit((("address", k), ("a", m)) + y + (("z", 1),), classical_bits)
 
 
+def _oracle_gates(c: Circuit, inst: QvmpInstance, dual: bool, fold_y: bool) -> list[Gate]:
+    """The oracle's gates on the search registers of ``c``."""
+    a = _wires(c, "a")
+    z = c.qubit("z", 0).global_index
+    lookup = _lookup_gates(append_column(inst.matrix, inst.z), _wires(c, "address"), a + [z])
+    if fold_y:
+        dot = [Gate(CX, (a[i],), (z,)) for i in range(inst.m) if inst.y[i]]
+    else:
+        dot = _inner_product_gates(a, _wires(c, "y"), z)
+    flip = [Gate(X, (), (z,))] if dual else []
+    phase = flip + [Gate(Z, (), (z,))] + flip
+    return lookup + dot + phase + dot[::-1] + lookup[::-1]
+
+
 def build_oracle(inst: QvmpInstance, dual: bool = False, fold_y: bool = False) -> Circuit:
     """Phase oracle for the row-mismatch predicate.
 
     With y loaded and the a/z ancillas at |0>, maps each address basis
     state |j> to -|j> exactly when (A·y)_j differs from z_j, restoring the
     ancillas. The lookup loads [A | z] so the z qubit doubles as the
-    inner-product target; a lone Z there converts marking into phase.
+    inner-product target; a lone Z there converts marking into phase, and
+    the inner product and the lookup are undone in reverse gate order.
     ``dual`` conjugates that Z with X to flip matching rows instead.
     ``fold_y`` drops the y register: y never leaves its loaded basis
     state, so the inner product is one cx per set bit of y.
     """
     c = _search_registers(inst, fold_y)
-    m = inst.m
-    areg = c.qubits("a")
-    z = c.qubit("z", 0)
-
-    db = build_qrom(append_column(inst.matrix, inst.z))
-    db_map = c.qubits("address") + areg + [z]
-    if fold_y:
-        dot = Circuit((("a", m), ("out", 1)))
-        for i in range(m):
-            if inst.y[i]:
-                dot.cx(dot.qubit("a", i), dot.qubit("out", 0))
-        dot_map = areg + [z]
-    else:
-        dot = build_inner_product(m)
-        dot_map = areg + c.qubits("y") + [z]
-
-    c.extend(db, db_map)
-    c.extend(dot, dot_map)
-    if dual:
-        c.x(z)
-    c.z(z)
-    if dual:
-        c.x(z)
-    c.extend(inverse(dot), dot_map)
-    c.extend(inverse(db), db_map)
-    return c.freeze()
+    return _appended(c, _oracle_gates(c, inst, dual, fold_y))
 
 
 def _grover_iteration(inst: QvmpInstance, dual: bool, fold_y: bool) -> Circuit:
     """One (oracle, diffuser) pair on the search registers."""
     c = _search_registers(inst, fold_y)
-    c.extend(build_oracle(inst, dual=dual, fold_y=fold_y))
-    c.extend(build_diffuser(inst.address_bits), c.qubits("address"))
-    return c.freeze()
+    step = _oracle_gates(c, inst, dual, fold_y) + _diffuser_gates(_wires(c, "address"))
+    return _appended(c, step)
 
 
 def build_grover_search(inst: QvmpInstance, iterations: int, dual: bool = False, *,

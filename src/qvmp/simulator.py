@@ -106,6 +106,8 @@ class Histogram:
     shots: int
 
     def __post_init__(self) -> None:
+        if any(not isinstance(v, int) or v < 0 for v in self.counts.values()):
+            raise FormatError("histogram counts must be nonnegative integers")
         if sum(self.counts.values()) != self.shots:
             raise FormatError("histogram counts do not sum to shots")
 
@@ -133,8 +135,12 @@ class Histogram:
 
     @classmethod
     def from_json(cls, text: str) -> Histogram:
-        obj = json.loads(text)
-        return cls(dict(obj["counts"]), int(obj["shots"]))
+        try:
+            obj = json.loads(text)
+            counts, shots = dict(obj["counts"]), int(obj["shots"])
+        except (ValueError, KeyError, TypeError) as e:
+            raise FormatError(f"bad histogram JSON: {e!r}") from e
+        return cls(counts, shots)
 
 
 def _scatter(n: int, index: np.ndarray, amp: np.ndarray, cap: int) -> np.ndarray:
@@ -445,6 +451,8 @@ def _run(circuit: Circuit, shots: int, seed: int, stats: dict | None = None,
         raise ContractError("run() needs a circuit that ends in measurement")
     if shots < 1:
         raise ContractError("shots must be >= 1")
+    if seed < 0:
+        raise ContractError("seed must be >= 0")
     marg = _evolve(circuit, stats=stats).marginal(sorted(q for q, _ in measured))
     width = circuit.classical_bits
     values, freq = _sample(marg, shots, seed)

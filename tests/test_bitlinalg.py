@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -64,6 +65,13 @@ class TestBitVector:
             BitVector.from_bits([0, 2])
         with pytest.raises(DimensionError):
             BitVector.from_bits([1, 1]) ^ BitVector.from_bits([1])
+
+    @pytest.mark.parametrize("elements", [[1.0], [0, 0.0], [1, 1.0, 0]])
+    def test_rejects_non_integer_elements(self, elements):
+        with pytest.raises(DimensionError):
+            BitVector.from_bits(elements)
+        with pytest.raises(DimensionError):
+            parse_matrix(json.dumps({"rows": 1, "cols": len(elements), "data": [elements]}))
 
 
 class TestBitMatrix:

@@ -68,7 +68,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("text", ['{"rows": 4, "cols": 4, "data": 5}',
                                       '{"rows": 2, "cols": 2, "data": [[0, 1], 5]}',
-                                      '{"rows": 1, "cols": 1, "data": [null]}'])
+                                      '{"rows": 1, "cols": 1, "data": [null]}',
+                                      '{"rows": 1, "cols": 1, "data": [[1.0]]}',
+                                      '{"rows": 2, "cols": 1, "data": [[0.0], [1]]}'])
     def test_bad_json_matrix_exit_two(self, tmp_path, capsys, text):
         p = tmp_path / "bad.json"
         p.write_text(text)
@@ -111,6 +113,10 @@ class TestHistogramCommand:
         assert code == 0
         assert "bitstring,count,probability" in capsys.readouterr().out
 
+
+    def test_negative_seed_exit_two(self, capsys):
+        assert main(["histogram", "--n", "4", "--m", "2", "--shots", "16", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("value", ["abc", "-1"])
     def test_invalid_qubit_cap_exit_two(self, monkeypatch, capsys, value):

@@ -280,6 +280,36 @@ class TestOracle:
             sv = statevector(round_trip, initial=basis)
             assert sv.amplitudes[basis] == 1.0
 
+    @pytest.mark.parametrize("n,m", [(4, 4), (8, 8), (16, 16)])
+    @pytest.mark.parametrize("dual,fold_y", [(False, False), (True, False), (False, True)],
+                             ids=["plain", "dual", "fold_y"])
+    def test_shares_the_public_lookup(self, n, m, dual, fold_y):
+        """The oracle is build_qrom's gates on (address, a, z), the inner
+        product, the phase gates, the inner product reversed and the lookup
+        reversed, gate for gate."""
+        inst = make_instance(n, m, {1, n - 1}, seed=n + m)
+        oracle = build_oracle(inst, dual, fold_y)
+
+        def wires(register):
+            return [q.global_index for q in oracle.qubits(register)]
+
+        def renumbered(c, onto):
+            return [Gate(g.kind, tuple(onto[q] for q in g.controls),
+                         tuple(onto[q] for q in g.targets)) for g in c.gates]
+
+        a, z = wires("a"), wires("z")
+        table = append_column(inst.matrix, inst.z)
+        lookup = renumbered(build_qrom(table), wires("address") + a + z)
+        if fold_y:
+            dot = [Gate(CX, (a[i],), tuple(z)) for i in range(m) if inst.y[i]]
+        else:
+            dot = renumbered(build_inner_product(m), a + wires("y") + z)
+        phase = [Gate(kind, (), tuple(z)) for kind in ((X, Z, X) if dual else (Z,))]
+        size = len(lookup)
+        assert oracle.gates[:size] == lookup
+        assert oracle.gates[-size:] == lookup[::-1]
+        assert oracle.gates[size:-size] == dot + phase + dot[::-1]
+
 
 class TestPlanning:
     # Reported (n, mismatches) -> iterations pairs for the metric grid.

@@ -380,6 +380,12 @@ class TestRun:
         with pytest.raises(ContractError):
             run(c, 0, seed=0)
 
+    def test_requires_nonnegative_seed(self):
+        c = Circuit((("q", 1),), classical_bits=1)
+        c.measure(0, 0)
+        with pytest.raises(ContractError, match="seed"):
+            run(c, 10, seed=-1)
+
 
 class TestHistogramFormats:
     def test_csv_round_trip(self):
@@ -398,3 +404,9 @@ class TestHistogramFormats:
     def test_bad_csv(self):
         with pytest.raises(FormatError):
             Histogram.from_csv("bitstring,count,extra\n")
+
+    @pytest.mark.parametrize("text", ["{}", "nope", "[1]", '{"counts": {"0": "a"}, "shots": 1}',
+                                      '{"counts": {"0": -1, "1": 1}, "shots": 0}'])
+    def test_bad_json(self, text):
+        with pytest.raises(FormatError):
+            Histogram.from_json(text)
