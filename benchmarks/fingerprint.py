@@ -18,7 +18,13 @@ byte-identical. The families are
 - ``builders``: ``dump`` and registers of the public sub-builders on the
   same sizes: ``build_qrom`` of each instance's [A | z] table,
   ``build_inner_product(m)``, ``build_diffuser(log2 n)`` and
-  ``build_oracle`` for all four (dual, fold_y) pairs.
+  ``build_oracle`` for all four (dual, fold_y) pairs;
+- ``search_lowered`` and ``builders_lowered``: the same circuits through
+  ``lower``, as ``dump`` and registers of the lowered circuit.
+
+The unlowered ``search`` and ``builders`` dumps show a table lookup as one
+``lookup`` gate since that op was added, so only the lowered families
+compare across that change.
 
 Only long-standing public API is used, so the script runs unchanged on
 older checkouts.
@@ -99,27 +105,42 @@ def scan_lines():
         yield repr(scan_success_probability(inst, 4, dual=dual))
 
 
-def search_lines():
+def search_circuits():
     for n, m in SEARCH_SIZES:
         inst = generate_instance(n, m, 2, seed=n + m)
         for k in range(4):
             for dual in (False, True):
-                c = build_grover_search(inst, k, dual=dual)
-                yield circuit.dump(c)
-                yield json.dumps(circuit.metrics(c))
+                yield build_grover_search(inst, k, dual=dual)
+
+
+def builder_circuits():
+    for n, m in SEARCH_SIZES:
+        inst = generate_instance(n, m, 2, seed=n + m)
+        yield build_qrom(append_column(inst.matrix, inst.z))
+        yield build_inner_product(m)
+        yield build_diffuser(inst.address_bits)
+        for dual in (False, True):
+            for fold_y in (False, True):
+                yield build_oracle(inst, dual, fold_y)
+
+
+def search_lines():
+    for c in search_circuits():
+        yield circuit.dump(c)
+        yield json.dumps(circuit.metrics(c))
 
 
 def builders_lines():
-    for n, m in SEARCH_SIZES:
-        inst = generate_instance(n, m, 2, seed=n + m)
-        built = [build_qrom(append_column(inst.matrix, inst.z)),
-                 build_inner_product(m), build_diffuser(inst.address_bits)]
-        for dual in (False, True):
-            for fold_y in (False, True):
-                built.append(build_oracle(inst, dual, fold_y))
-        for c in built:
-            yield circuit.dump(c)
-            yield repr(c.registers)
+    for c in builder_circuits():
+        yield circuit.dump(c)
+        yield repr(c.registers)
+
+
+def lowered_lines(circuits):
+    for c in circuits():
+        lowered = circuit.lower(c)
+        yield circuit.dump(lowered)
+        yield repr(lowered.registers)
 
 
 FAMILIES = {
@@ -129,6 +150,8 @@ FAMILIES = {
     "scan": scan_lines,
     "search": search_lines,
     "builders": builders_lines,
+    "search_lowered": lambda: lowered_lines(search_circuits),
+    "builders_lowered": lambda: lowered_lines(builder_circuits),
 }
 
 

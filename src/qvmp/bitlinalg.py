@@ -49,7 +49,7 @@ class BitVector:
     @classmethod
     def from_bits(cls, elements: Iterable[int]) -> BitVector:
         elems = list(elements)
-        if any(not isinstance(e, int) or e not in (0, 1) for e in elems):
+        if any(not isinstance(e, int) or isinstance(e, bool) or e not in (0, 1) for e in elems):
             raise DimensionError("vector elements must be the integers 0 or 1")
         bits = 0
         for i, e in enumerate(elems):

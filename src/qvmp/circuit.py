@@ -3,21 +3,28 @@
 A circuit is an ordered list of gates over named qubit registers. Register
 declaration order fixes the global qubit indices, and index 0 within a
 register is its least-significant bit. The gate set is
-{x, h, z, cx, ccx, mcx, mcz, measure}; control counts are canonical (one
-control is cx, two is ccx, three or more is mcx). Every unitary kind here
-is self-inverse, which keeps inversion a pure gate-order reversal.
+{x, h, z, cx, ccx, mcx, mcz, lookup, measure}; control counts are canonical
+(one control is cx, two is ccx, three or more is mcx).
+
+A lookup is a read-only table lookup as one gate: its controls are the
+address qubits, its targets the data qubits, and ``table`` holds one word
+per address, so |r>|d> -> |r>|d xor table[r]>. It stands for a per-row
+select-write-unselect expansion (``_expansion``), which ``lower`` emits
+and which ``gate_counts``, ``depth``, ``metrics`` and ``lowered_metrics``
+count; the simulator applies it directly. Every unitary kind here is
+self-inverse, so inversion reverses the gate order; a lookup keeps its
+table and reverses the order its expansion is written in (``reverse``).
 """
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CompositionError, ContractError, InversionError
 
 __all__ = [
-    "X", "H", "Z", "CX", "CCX", "MCX", "MCZ", "MEASURE",
+    "X", "H", "Z", "CX", "CCX", "MCX", "MCZ", "LOOKUP", "MEASURE",
     "QubitRef", "Gate", "Circuit",
     "compose", "inverse", "depth", "gate_counts", "lower", "lowered_metrics",
     "dump", "metrics", "metrics_json",
@@ -30,9 +37,10 @@ CX = "cx"
 CCX = "ccx"
 MCX = "mcx"
 MCZ = "mcz"
+LOOKUP = "lookup"
 MEASURE = "measure"
 
-KINDS = frozenset({X, H, Z, CX, CCX, MCX, MCZ, MEASURE})
+KINDS = frozenset({X, H, Z, CX, CCX, MCX, MCZ, LOOKUP, MEASURE})
 BASIS_KINDS = frozenset({X, H, Z, CX, CCX, MEASURE})
 
 
@@ -53,6 +61,8 @@ class Gate:
     controls: tuple[int, ...]
     targets: tuple[int, ...]
     classical: int | None = None
+    table: tuple[int, ...] | None = None  # lookup words, one per address
+    reverse: bool = False  # a lookup whose expansion is written backwards
 
     def qubits(self) -> tuple[int, ...]:
         return self.controls + self.targets
@@ -126,6 +136,17 @@ class Circuit:
                 raise ContractError(f"qubit {g} not declared")
             if g in self._measured:
                 raise ContractError(f"gate after measurement on qubit {g}")
+        if gate.kind == LOOKUP:
+            table = gate.table
+            if not gate.controls:
+                raise ContractError("lookup needs at least one address qubit")
+            if not isinstance(table, tuple) or len(table) != 1 << len(gate.controls):
+                raise ContractError("lookup needs a tuple of one word per address")
+            limit = 1 << len(gate.targets)
+            if not all(isinstance(w, int) and 0 <= w < limit for w in table):
+                raise ContractError("lookup words must fit the data qubits")
+        elif gate.table is not None or gate.reverse:
+            raise ContractError("only a lookup carries a table")
         if gate.kind == MEASURE:
             if gate.classical is None or not 0 <= gate.classical < self.classical_bits:
                 raise ContractError("measure needs a declared classical bit")
@@ -178,7 +199,7 @@ class Circuit:
         else:
             self.gates.extend([
                 Gate(g.kind, tuple([table[q] for q in g.controls]),
-                     tuple([table[q] for q in g.targets]), g.classical)
+                     tuple([table[q] for q in g.targets]), g.classical, g.table, g.reverse)
                 for g in other.gates
             ])
         self._measured.update([table[q] for q in other._measured])
@@ -209,6 +230,12 @@ class Circuit:
             self.append(Gate(Z, (), (target,)))
         else:
             self.append(Gate(MCZ, ctrls, (target,)))
+
+    def lookup(self, address: Iterable, data: Iterable, table: Iterable[int]) -> None:
+        """|r>|d> -> |r>|d xor table[r]>; ``table`` has one word per address
+        value, bit i of a word landing on the i-th data qubit."""
+        self.append(Gate(LOOKUP, tuple(self._resolve(q) for q in address),
+                         tuple(self._resolve(q) for q in data), table=tuple(table)))
 
     def measure(self, q, classical_bit: int) -> None:
         self.append(Gate(MEASURE, (), (self._resolve(q),), classical=classical_bit))
@@ -241,20 +268,138 @@ def compose(a: Circuit, b: Circuit, mapping: Sequence | None = None) -> Circuit:
 
 
 def inverse(c: Circuit) -> Circuit:
-    """Reverse the gate order; every supported unitary is self-inverse."""
+    """Reverse the gate order; every supported unitary is self-inverse. A
+    lookup keeps its table and has its expansion written backwards, so
+    ``lower(inverse(c))`` is ``inverse(lower(c))``."""
     if c.has_measurement():
         raise InversionError("cannot invert a circuit containing measurement")
     out = Circuit(c.registers, c.classical_bits)
-    out.gates = c.gates[::-1]
+    out.gates = [replace(g, reverse=not g.reverse) if g.kind == LOOKUP else g
+                 for g in reversed(c.gates)]
     return out
+
+
+def _lookup_rows(g: Gate) -> list[tuple[list[int], list[int]]]:
+    """A lookup's expansion as one chunk per row, in written order: the
+    address qubits its X gates select on (where the row index has a 0 bit)
+    and the data qubits it writes (where the row's word has a 1 bit).
+
+    Each chunk is those X gates, one X controlled by the whole address onto
+    each written qubit, and the X gates again. Rows run 0..n-1; ``reverse``
+    reads the whole gate list backwards.
+    """
+    address, data = g.controls, g.targets
+    k = len(address)
+    rows = [([address[i] for i in range(k) if not (r >> i) & 1],
+             [q for i, q in enumerate(data) if word >> i & 1])
+            for r, word in enumerate(g.table)]
+    if g.reverse:
+        rows = [(flips[::-1], writes[::-1]) for flips, writes in reversed(rows)]
+    return rows
+
+
+def _rows_of(g: Gate, made: dict[int, list]) -> list:
+    """``_lookup_rows(g)``, made once per lookup gate object and caller's
+    ``made`` dict: a search repeats its iteration's gate objects."""
+    rows = made.get(id(g))
+    if rows is None:
+        rows = made[id(g)] = _lookup_rows(g)
+    return rows
+
+
+def _expansion(g: Gate) -> list[Gate]:
+    """The gates a lookup stands for, in written order (``_lookup_rows``);
+    the select and write gates are made once and shared by every row."""
+    select = {q: Gate(X, (), (q,)) for q in g.controls}
+    write = {q: Gate(_x_kind(len(g.controls)), g.controls, (q,)) for q in g.targets}
+    gates: list[Gate] = []
+    for flips, writes in _lookup_rows(g):
+        xs = [select[q] for q in flips]
+        gates += xs
+        gates += [write[q] for q in writes]
+        gates += xs
+    return gates
+
+
+def _expanded(gates: list[Gate]) -> list[Gate]:
+    """``gates`` with each lookup replaced by its expansion."""
+    out: list[Gate] = []
+    for g in gates:
+        if g.kind == LOOKUP:
+            out += _expansion(g)
+        else:
+            out.append(g)
+    return out
+
+
+def _lookup_census(g: Gate) -> list[tuple[tuple[str, int], int]]:
+    """((kind, control count), gates) of a lookup's expansion in
+    first-appearance order: n·k select X and one k-control X per set bit
+    of the table (none when the table is all zero)."""
+    k = len(g.controls)
+    census = [((X, 0), len(g.table) * k),
+              ((_x_kind(k), k), sum(w.bit_count() for w in g.table))]
+    if g.reverse and g.table[-1]:  # backwards, row n-1 writes first (it selects with no X)
+        census.reverse()
+    return [entry for entry in census if entry[1]]
+
+
+def _lookup_layers(level: list[int], g: Gate, rows: list, anc0: int | None = None) -> int:
+    """Lay a lookup's expansion, given as its ``_lookup_rows``, onto a
+    ``depth`` level table row by row; returns the deepest layer it reaches.
+
+    A row's writes share the address, so each sits at max(previous write
+    + 1, target level + 1). With ``anc0`` and three or more address qubits,
+    each write is instead a v-chain on the ancillas from ``anc0``, as
+    ``lowered_metrics`` counts it, and a row's writes are one same-control
+    run: the first chain is laid gate by gate, each later middle ccx sits
+    at max(previous middle + 2k - 3, target level + 1), and the chain
+    closes once per row.
+    """
+    address = g.controls
+    k = len(address)
+    chained = anc0 is not None and k >= 3
+    stride = 2 * k - 3 if chained else 1
+    for flips, writes in rows:
+        for q in flips:
+            level[q] += 1
+        if writes:
+            if chained:
+                lv = max(level[address[0]], level[address[1]], level[anc0]) + 1
+                for i in range(1, k - 2):
+                    lv = max(level[address[i + 1]], lv, level[anc0 + i]) + 1
+                earliest = max(level[address[-1]], lv) + 1
+            else:
+                earliest = max([level[q] for q in address]) + 1
+            for t in writes:
+                layer = level[t] + 1
+                if layer < earliest:
+                    layer = earliest
+                level[t] = layer
+                earliest = layer + stride
+            if chained:
+                _close_chain(level, address, anc0, layer)
+            else:
+                for q in address:
+                    level[q] = layer
+        for q in flips:
+            level[q] += 1
+    return max([level[q] for q in address + g.targets])
 
 
 def depth(c: Circuit) -> int:
     """Greedy layering: each gate sits one layer after the deepest earlier
-    gate sharing any of its qubits. Measurement counts as a gate."""
+    gate sharing any of its qubits. Measurement counts as a gate, and a
+    lookup as its expansion, walked row by row."""
     level = [0] * c.num_qubits
     best = 0
+    made: dict[int, list] = {}
     for g in c.gates:
+        if g.kind == LOOKUP:
+            layer = _lookup_layers(level, g, _rows_of(g, made))
+            if layer > best:
+                best = layer
+            continue
         qubits = g.controls + g.targets
         layer = 0
         for q in qubits:
@@ -269,7 +414,16 @@ def depth(c: Circuit) -> int:
 
 
 def gate_counts(c: Circuit) -> dict[str, int]:
-    return dict(Counter(g.kind for g in c.gates))
+    """Gates per kind in first-appearance order, a lookup counted as its
+    expansion."""
+    counts: dict[str, int] = {}
+    for g in c.gates:
+        if g.kind == LOOKUP:
+            for (kind, _), num in _lookup_census(g):
+                counts[kind] = counts.get(kind, 0) + num
+        else:
+            counts[g.kind] = counts.get(g.kind, 0) + 1
+    return counts
 
 
 def _ancilla_width(census: Iterable[tuple[str, int]]) -> int:
@@ -291,7 +445,8 @@ def lower(c: Circuit) -> Circuit:
     """Rewrite onto the {x, h, z, cx, ccx, measure} basis.
 
     mcx with k >= 3 controls becomes a clean-ancilla v-chain of 2k-3 ccx
-    gates; mcz becomes h(target), the mcx form, h(target). Ancillas live in
+    gates; mcz becomes h(target), the mcx form, h(target); a lookup becomes
+    its expansion, each of whose writes lowers like an mcx. Ancillas live in
     an appended register sized for the widest gate and are reused; each
     v-chain uncomputes them back to |0>. The register is named "anc", or
     "anc1", "anc2", ... when ``c`` declares "anc" already. The output is
@@ -299,7 +454,8 @@ def lower(c: Circuit) -> Circuit:
     the v-chains touch only ``c``'s gate qubits and the declared ancillas.
     ``lowered_metrics`` gives ``metrics`` of the result without building it.
     """
-    n_anc = _ancilla_width({(g.kind, len(g.controls)) for g in c.gates})
+    flat = _expanded(c.gates)
+    n_anc = _ancilla_width({(g.kind, len(g.controls)) for g in flat})
     regs = c.registers + (((_ancilla_register(c), n_anc),) if n_anc else ())
     out = Circuit(regs, c.classical_bits)
     anc0 = c.num_qubits
@@ -324,7 +480,7 @@ def lower(c: Circuit) -> Circuit:
         emit(Gate(CCX, (controls[-1], anc0 + k - 3), (target,)))
         gates.extend(uncompute)
 
-    for g in c.gates:
+    for g in flat:
         if g.kind in BASIS_KINDS:
             emit(g)
         elif g.kind == MCX:
@@ -366,11 +522,12 @@ def lowered_metrics(c: Circuit) -> dict:
     control mcx lowers to 2k-3 ccx and an mcz adds two h. Depth runs the
     ``depth`` level table over ``c``'s qubits and the ancillas; a wide
     gate applies the v-chain's layering to the table directly. In a run
-    of mcx on the same k controls (a lookup row writes one), each gate
-    after the first starts its chain right after the previous chain ends
-    on those controls, so its middle ccx sits at
-    max(previous middle + 2k - 3, target level + 1), and the control and
-    ancilla levels are written once, when the run ends.
+    of mcx on the same k controls, each gate after the first starts its
+    chain right after the previous chain ends on those controls, so its
+    middle ccx sits at max(previous middle + 2k - 3, target level + 1), and
+    the control and ancilla levels are written once, when the run ends. A
+    lookup counts as its expansion, whose rows are each such a run
+    (``_lookup_layers``), with its census in closed form.
     """
     n = c.num_qubits
     anc0 = n
@@ -380,6 +537,7 @@ def lowered_metrics(c: Circuit) -> dict:
     run: tuple[int, ...] | None = None  # controls of the open run of mcx
     middle = 0  # layer of the open run's last middle ccx
     step = extra = 0  # 2k - 3 for the open run; its gates after the first
+    made: dict[int, list] = {}
     for g in c.gates:
         ctrls = g.controls
         kind = g.kind
@@ -397,6 +555,13 @@ def lowered_metrics(c: Circuit) -> dict:
                 best = top
             census[(MCX, len(run))] += extra
             run = None
+        if kind == LOOKUP:
+            for key, num in _lookup_census(g):
+                census[key] = census.get(key, 0) + num
+            top = _lookup_layers(level, g, _rows_of(g, made), anc0)
+            if top > best:
+                best = top
+            continue
         k = len(ctrls)
         key = (kind, k)
         census[key] = census.get(key, 0) + 1
@@ -462,24 +627,29 @@ def lowered_metrics(c: Circuit) -> dict:
 
 
 def dump(c: Circuit) -> str:
-    """One gate per line: "KIND controls -> targets"."""
+    """One gate per line: "KIND controls -> targets"; a lookup adds
+    "table=" and its words in address order, then "reverse" if it has it."""
     lines = []
     for g in c.gates:
         ctrl = ",".join(c.label(q) for q in g.controls)
         tgt = ",".join(c.label(q) for q in g.targets)
         if g.kind == MEASURE:
             lines.append(f"MEASURE {tgt} -> c[{g.classical}]")
+        elif g.kind == LOOKUP:
+            words = ",".join(map(str, g.table))
+            lines.append(f"LOOKUP {ctrl} -> {tgt} table={words}" + (" reverse" if g.reverse else ""))
         else:
             lines.append(f"{g.kind.upper()} {ctrl} -> {tgt}".replace("  ", " "))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def metrics(c: Circuit) -> dict:
+    counts = gate_counts(c)
     return {
         "depth": depth(c),
         "qubits": c.num_qubits,
-        "counts": gate_counts(c),
-        "total_gates": len(c.gates),
+        "counts": counts,
+        "total_gates": sum(counts.values()),
     }
 
 

@@ -15,12 +15,12 @@ remain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
 from .bitlinalg import BitMatrix, BitVector, append_column, mismatch_rows
-from .circuit import CCX, CX, H, X, Z, Circuit, Gate, _x_kind
+from .circuit import CCX, CX, H, LOOKUP, X, Z, Circuit, Gate, _x_kind
 from .errors import ContractError, DimensionError
 from .simulator import _evolve
 
@@ -150,27 +150,6 @@ def _appended(c: Circuit, gates: list[Gate]) -> Circuit:
     return c.freeze()
 
 
-def _lookup_gates(table: BitMatrix, address: Sequence[int], data: Sequence[int]) -> list[Gate]:
-    """Read-only table lookup: |r>|0..0> -> |r>|row_r> on the given qubits.
-
-    One chunk per row: X gates select the address (flipping qubits where
-    the row index has a 0 bit), a multi-controlled NOT per set bit of the
-    row writes the data qubits, and the X gates are undone. The select and
-    write gates are made once per table and shared by every row.
-    """
-    address = tuple(address)
-    k = len(address)
-    select = [Gate(X, (), (q,)) for q in address]
-    write = [Gate(_x_kind(k), address, (q,)) for q in data]
-    gates: list[Gate] = []
-    for r, word in enumerate(table.row_words):
-        flips = [select[i] for i in range(k) if not (r >> i) & 1]
-        gates += flips
-        gates += [w for i, w in enumerate(write) if word >> i & 1]
-        gates += flips
-    return gates
-
-
 def _inner_product_gates(a: Sequence[int], b: Sequence[int], out: int) -> list[Gate]:
     """out ^= a·b mod 2: one ccx per column."""
     return [Gate(CCX, (ai, bi), (out,)) for ai, bi in zip(a, b)]
@@ -188,12 +167,13 @@ def _diffuser_gates(qubits: Sequence[int]) -> list[Gate]:
 
 def build_qrom(table: BitMatrix) -> Circuit:
     """Read-only table lookup on registers address (log2 n) and data (m):
-    |r>|0..0> -> |r>|row_r>, one select-write-unselect chunk per row."""
+    |r>|0..0> -> |r>|row_r>, as one lookup gate."""
     n = table.rows
     if n < 2 or n & (n - 1):
         raise DimensionError(f"table rows must be a power of two >= 2, got {n}")
     c = Circuit((("address", n.bit_length() - 1), ("data", table.cols)))
-    return _appended(c, _lookup_gates(table, _wires(c, "address"), _wires(c, "data")))
+    c.lookup(c.qubits("address"), c.qubits("data"), table.row_words)
+    return c.freeze()
 
 
 def build_inner_product(m: int) -> Circuit:
@@ -223,14 +203,15 @@ def _oracle_gates(c: Circuit, inst: QvmpInstance, dual: bool, fold_y: bool) -> l
     """The oracle's gates on the search registers of ``c``."""
     a = _wires(c, "a")
     z = c.qubit("z", 0).global_index
-    lookup = _lookup_gates(append_column(inst.matrix, inst.z), _wires(c, "address"), a + [z])
+    table = append_column(inst.matrix, inst.z).row_words
+    lookup = Gate(LOOKUP, tuple(_wires(c, "address")), tuple(a + [z]), table=table)
     if fold_y:
         dot = [Gate(CX, (a[i],), (z,)) for i in range(inst.m) if inst.y[i]]
     else:
         dot = _inner_product_gates(a, _wires(c, "y"), z)
     flip = [Gate(X, (), (z,))] if dual else []
     phase = flip + [Gate(Z, (), (z,))] + flip
-    return lookup + dot + phase + dot[::-1] + lookup[::-1]
+    return [lookup] + dot + phase + dot[::-1] + [replace(lookup, reverse=True)]
 
 
 def build_oracle(inst: QvmpInstance, dual: bool = False, fold_y: bool = False) -> Circuit:

@@ -6,19 +6,22 @@ same rule on classical bits: bit 0 is the rightmost character.
 
 Every evolution starts on a sparse state: an int64 array of basis indices
 and a float64 array of their amplitudes (the gate set is real). On it a
-fused run of controlled-X gates sharing one control set is a masked index
-XOR, Z and MCZ flip the sign of the matching entries, and H builds both
-branches, merges equal indices by summing them and prunes amplitudes that
-cancelled. Between diffusers every ancilla of a search circuit is a
-function of the address, so its support never exceeds the n addresses
-whatever the register width. A run that stays sparse accepts up to
+controlled-X gate is one masked index XOR, a table lookup gathers each
+index's address bits and XORs in that row's word, spread onto the data
+qubits (one array of those masks per lookup gate and evolution), Z and MCZ
+flip the sign of the matching entries, and H builds both branches, merges
+equal indices by summing them and prunes amplitudes that cancelled.
+Between diffusers every ancilla of a search circuit is a function of the
+address, so its support never exceeds the n addresses whatever the
+register width. A run that stays sparse accepts up to
 ``SPARSE_MAX_QUBITS`` (62) qubits, the width of an int64 index.
 
 Once an H leaves more than 2^n / ``_DENSE_FRACTION`` amplitudes, the
 sparse state is scattered into a dense complex128 array of 2^n amplitudes
 and the remaining gates run on it, from that gate on. Dense gates are NumPy
 slices of its (2,)*n view: a gate touches only the stratum its controls
-select, so work scales with the amplitudes it changes. The qubit cap
+select, so work scales with the amplitudes it changes; a lookup is one
+such multi-target X per row with a nonzero word. The qubit cap
 (``QVMP_SIM_MAX_QUBITS``, a nonnegative integer, default 26, or
 ``statevector``'s ``max_qubits``) bounds the amplitudes held in either
 shape: a dense handoff, a ``statevector`` result or an outcome marginal
@@ -28,8 +31,9 @@ off.
 
 Bare X gates are tracked in both shapes as an index-relabelling frame (an
 XOR mask over amplitude indices) instead of moving amplitudes; the other
-gates take the frame into account through control polarities and a
-conjugated Hadamard. The frame is resolved once, when the evolution ends.
+gates take the frame into account through control polarities, a
+conjugated Hadamard and, for a lookup, an address read XOR the frame's
+address bits. The frame is resolved once, when the evolution ends.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CCX, CX, H, MCX, MCZ, MEASURE, X, Z, Circuit
+from .circuit import CCX, CX, H, LOOKUP, MCX, MCZ, MEASURE, X, Z, Circuit
 from .errors import ContractError, FormatError, ResourceError
 
 __all__ = [
@@ -154,6 +158,23 @@ def _scatter(n: int, index: np.ndarray, amp: np.ndarray, cap: int) -> np.ndarray
 
 def _bit_positions(mask: int) -> list[int]:
     return [q for q in range(mask.bit_length()) if (mask >> q) & 1]
+
+
+def _spread(value: int, qubits) -> int:
+    """Index bits holding ``value``: bit i of it lands on ``qubits[i]``."""
+    out = 0
+    for i, q in enumerate(qubits):
+        out |= ((value >> i) & 1) << q
+    return out
+
+
+def _gather(index, qubits):
+    """Inverse of ``_spread``: bit i of the result is bit ``qubits[i]`` of
+    ``index`` (an int or an int64 array)."""
+    out = 0
+    for i, q in enumerate(qubits):
+        out |= ((index >> q) & 1) << i
+    return out
 
 
 def _stratum(n: int, mask: int, val: int) -> list:
@@ -305,10 +326,8 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
     peak = (1 << n) if dense is not None else index.size
     pruned = 0.0
     frame = 0
-    gates = circuit.gates
-    i = 0
-    while i < len(gates):
-        g = gates[i]
+    lookups: dict[int, np.ndarray] = {}  # id of a lookup gate -> its data masks
+    for g in circuit.gates:
         kind = g.kind
         if kind == X:
             frame ^= 1 << g.targets[0]
@@ -335,32 +354,33 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
             else:
                 amp[(index & mask) == (mask & ~frame)] *= -1.0
         elif kind in (CX, CCX, MCX):
+            tmask = 1 << g.targets[0]
             cmask = 0
             for c in g.controls:
                 cmask |= 1 << c
-            # Fuse runs of controlled-X gates sharing one control set
-            # (each table-lookup chunk emits such a run): the joint action
-            # pairs s with s ^ tmask, one pass instead of one per gate.
-            tmask = 1 << g.targets[0]
-            while i + 1 < len(gates) and gates[i + 1].kind in (CX, CCX, MCX):
-                nxt = gates[i + 1]
-                c2 = 0
-                for c in nxt.controls:
-                    c2 |= 1 << c
-                if c2 != cmask:
-                    break
-                tmask ^= 1 << nxt.targets[0]
-                i += 1
-            if tmask:
-                if dense is not None:
-                    _apply_mcx(dense, tmask, cmask, cmask & ~frame)
-                else:
-                    index[(index & cmask) == (cmask & ~frame)] ^= tmask
+            if dense is not None:
+                _apply_mcx(dense, tmask, cmask, cmask & ~frame)
+            else:
+                index[(index & cmask) == (cmask & ~frame)] ^= tmask
+        elif kind == LOOKUP:
+            masks = lookups.get(id(g))
+            if masks is None:
+                masks = lookups[id(g)] = np.array([_spread(w, g.targets) for w in g.table],
+                                                  dtype=np.int64)
+            address = g.controls
+            # A stored index reads the address XOR the frame's address bits.
+            shift = _gather(frame, address)
+            if dense is not None:
+                amask = sum(1 << q for q in address)
+                for r, mask in enumerate(masks.tolist()):
+                    if mask:
+                        _apply_mcx(dense, mask, amask, _spread(r ^ shift, address))
+            else:
+                index ^= masks[_gather(index, address) ^ shift]
         elif kind == MEASURE:
             pass  # terminal; sampling happens on the final state
         else:  # pragma: no cover - KINDS is closed
             raise ContractError(f"cannot simulate {kind}")
-        i += 1
     if stats is not None:
         stats.update(engine="sparse" if dense is None else "dense",
                      peak_support=int(peak), pruned_mass=pruned)

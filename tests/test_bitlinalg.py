@@ -66,7 +66,7 @@ class TestBitVector:
         with pytest.raises(DimensionError):
             BitVector.from_bits([1, 1]) ^ BitVector.from_bits([1])
 
-    @pytest.mark.parametrize("elements", [[1.0], [0, 0.0], [1, 1.0, 0]])
+    @pytest.mark.parametrize("elements", [[1.0], [0, 0.0], [1, 1.0, 0], [True], [0, False, 1]])
     def test_rejects_non_integer_elements(self, elements):
         with pytest.raises(DimensionError):
             BitVector.from_bits(elements)

@@ -9,12 +9,14 @@ from qvmp.circuit import (
     CCX,
     CX,
     H,
+    LOOKUP,
     MCX,
     MCZ,
     X,
     Z,
     Circuit,
     Gate,
+    _expanded,
     compose,
     depth,
     dump,
@@ -420,16 +422,17 @@ class TestLower:
 
 
 @st.composite
-def lowering_circuits(draw):
+def lowering_circuits(draw, measure=True):
     """Circuits over the whole gate set, shaped like the builders' output:
     runs of one to four mcx on one control set (targets may repeat), mcz
-    on one to five controls, and terminal measurements; about half are
-    basis-only and need no ancilla."""
+    on one to five controls, lookups on one to four address qubits (either
+    written order), and terminal measurements; about half are basis-only
+    and need no ancilla."""
     n = draw(st.integers(1, 9))
     shapes = [X, H, Z] + [CX] * (n >= 2) + [CCX] * (n >= 3)
     if draw(st.booleans()):
-        shapes += [MCZ] * (n >= 2) + ["run"] * (n >= 4)
-    c = Circuit((("q", n),), n)
+        shapes += [MCZ, LOOKUP] * (n >= 2) + ["run"] * (n >= 4)
+    c = Circuit((("q", n),), n if measure else 0)
     for _ in range(draw(st.integers(0, 30))):
         shape = draw(st.sampled_from(shapes))
         order = draw(st.permutations(range(n)))
@@ -442,13 +445,34 @@ def lowering_circuits(draw):
         elif shape == MCZ:
             k = draw(st.integers(1, min(5, n - 1)))
             c.mcz(order[:k], order[k])
+        elif shape == LOOKUP:
+            c.append(draw(lookup_gates(order)))
         else:
             k = draw(st.integers(3, n - 1))
             for _ in range(draw(st.integers(1, 4))):
                 c.mcx(order[:k], draw(st.sampled_from(order[k:])))
-    for q in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
-        c.measure(q, q)
+    if measure:
+        for q in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+            c.measure(q, q)
     return c
+
+
+@st.composite
+def lookup_gates(draw, order):
+    """A lookup on the leading qubits of ``order``: one to four address
+    qubits, then one to three data qubits, a random table, either order."""
+    k = draw(st.integers(1, min(4, len(order) - 1)))
+    d = draw(st.integers(1, min(3, len(order) - k)))
+    words = draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1 << k, max_size=1 << k))
+    return Gate(LOOKUP, tuple(order[:k]), tuple(order[k:k + d]), table=tuple(words),
+                reverse=draw(st.booleans()))
+
+
+def expanded(c):
+    """``c`` with every lookup replaced by its expansion."""
+    out = Circuit(c.registers, c.classical_bits)
+    out.gates = _expanded(c.gates)
+    return out
 
 
 def assert_lowered_metrics_exact(c):
@@ -489,6 +513,18 @@ class TestLoweredMetrics:
         ):
             assert_lowered_metrics_exact(c)
 
+    def test_runs_across_a_lookup_boundary(self):
+        # A forward lookup ends with row n-1's writes and a backward one
+        # starts with them (that row selects with no X), so an mcx on the
+        # same controls extends the same-control run of the expansion.
+        c = Circuit((("q", 7),))
+        c.mcx([0, 1, 2], 5)
+        c.append(Gate(LOOKUP, (0, 1, 2), (3, 4), table=(1, 0, 2, 3, 0, 1, 2, 3), reverse=True))
+        c.append(Gate(LOOKUP, (0, 1, 2), (3, 4), table=(1, 0, 2, 3, 0, 1, 2, 3)))
+        c.mcx([0, 1, 2], 6)
+        assert_lowered_metrics_exact(c)
+        assert metrics(c) == metrics(expanded(c))
+
     @pytest.mark.parametrize("taken,name", [(("anc",), "anc1"), (("anc", "anc1"), "anc2")])
     def test_circuit_with_its_own_anc_register(self, taken, name):
         c = Circuit((("q", 3),) + tuple((reg, 1) for reg in taken))
@@ -502,6 +538,74 @@ class TestLoweredMetrics:
             got = statevector(lowered, initial=basis).amplitudes
             want = statevector(c, initial=basis).amplitudes
             assert np.allclose(got[: 1 << c.num_qubits], want, atol=1e-12)
+
+
+class TestLookup:
+    def test_append_rejects_malformed_lookups(self):
+        c = Circuit((("q", 4),))
+        bad = [
+            Gate(LOOKUP, (0,), (1,)),  # no table
+            Gate(LOOKUP, (0,), (1,), table=[0, 1]),  # not a tuple
+            Gate(LOOKUP, (0,), (1,), table=(0, 1, 0)),  # three words, one address qubit
+            Gate(LOOKUP, (0, 1), (2,), table=(0, 1)),  # two words, two address qubits
+            Gate(LOOKUP, (0,), (1,), table=(2, 0)),  # word wider than the data
+            Gate(LOOKUP, (0,), (1,), table=(-1, 0)),
+            Gate(LOOKUP, (0,), (1,), table=(1.0, 0)),
+            Gate(LOOKUP, (), (1,), table=(1,)),  # no address qubit
+            Gate(LOOKUP, (0,), (0,), table=(1, 0)),  # address and data overlap
+            Gate(LOOKUP, (0,), (4,), table=(1, 0)),  # undeclared data qubit
+            Gate(X, (), (0,), table=(1,)),  # a table on another kind
+            Gate(X, (), (0,), reverse=True),
+        ]
+        for g in bad:
+            with pytest.raises(ContractError):
+                c.append(g)
+        assert c.gates == []
+        c.lookup([0, 1], [2, 3], [3, 0, 1, 2])
+        assert c.gates == [Gate(LOOKUP, (0, 1), (2, 3), table=(3, 0, 1, 2))]
+
+    def test_extend_with_mapping_keeps_the_table(self):
+        part = Circuit((("addr", 2), ("data", 2)))
+        part.lookup(part.qubits("addr"), part.qubits("data"), (1, 2, 3, 0))
+        c = Circuit((("q", 6),))
+        c.extend(part, [5, 0, 3, 1])
+        c.extend(inverse(part), [2, 4, 0, 5])
+        assert c.gates == [
+            Gate(LOOKUP, (5, 0), (3, 1), table=(1, 2, 3, 0)),
+            Gate(LOOKUP, (2, 4), (0, 5), table=(1, 2, 3, 0), reverse=True),
+        ]
+        assert compose(Circuit((("q", 6),)), part, [5, 0, 3, 1]).gates == c.gates[:1]
+
+    def test_dump_shows_the_table(self):
+        c = Circuit((("a", 2), ("d", 2)))
+        c.lookup(c.qubits("a"), c.qubits("d"), (0, 1, 2, 3))
+        assert dump(c) == "LOOKUP a[0],a[1] -> d[0],d[1] table=0,1,2,3\n"
+        assert dump(inverse(c)) == "LOOKUP a[0],a[1] -> d[0],d[1] table=0,1,2,3 reverse\n"
+
+    def test_expansion_of_a_small_table(self):
+        c = Circuit((("a", 2), ("d", 2)))
+        c.lookup(c.qubits("a"), c.qubits("d"), (2, 0, 3, 1))
+        rows = [[X, X, CCX, X, X], [X, X], [X, CCX, CCX, X], [CCX]]
+        assert [g.kind for g in expanded(c).gates] == [k for row in rows for k in row]
+        assert [g.kind for g in expanded(inverse(c)).gates] == [k for row in rows for k in row][::-1]
+        assert lower(c).gates == expanded(c).gates
+        assert gate_counts(c) == {X: 8, CCX: 4}
+        assert gate_counts(inverse(c)) == {CCX: 4, X: 8}
+        assert list(gate_counts(inverse(c))) == [CCX, X]
+
+    @settings(max_examples=300, deadline=None)
+    @given(lowering_circuits())
+    def test_metrics_count_the_expansion(self, c):
+        want = metrics(expanded(c))
+        got = metrics(c)
+        assert got == want
+        assert list(got["counts"]) == list(want["counts"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(lowering_circuits(measure=False))
+    def test_lowering_commutes_with_inverse(self, c):
+        assert lower(inverse(c)).gates == inverse(lower(c)).gates
+        assert inverse(inverse(c)).gates == c.gates
 
 
 class TestDumpAndMetrics:

@@ -70,7 +70,11 @@ class TestVerifyCommand:
                                       '{"rows": 2, "cols": 2, "data": [[0, 1], 5]}',
                                       '{"rows": 1, "cols": 1, "data": [null]}',
                                       '{"rows": 1, "cols": 1, "data": [[1.0]]}',
-                                      '{"rows": 2, "cols": 1, "data": [[0.0], [1]]}'])
+                                      '{"rows": 2, "cols": 1, "data": [[0.0], [1]]}',
+                                      '{"rows": 4, "cols": 4, "data": [[1, 0, 0, 0], [0, 1, 0, 0],'
+                                      ' [0, 0, 1, 0], [0, 0, 0, true]]}',
+                                      '{"rows": 4, "cols": 4, "data": [[1, 0, 0, 0], [0, 1, 0, 0],'
+                                      ' [0, 0, 1, 0], [false, 0, 0, 1]]}'])
     def test_bad_json_matrix_exit_two(self, tmp_path, capsys, text):
         p = tmp_path / "bad.json"
         p.write_text(text)

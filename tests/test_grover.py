@@ -13,7 +13,22 @@ from qvmp.bitlinalg import (
     random_matrix,
     random_vector,
 )
-from qvmp.circuit import CCX, CX, H, MCX, X, Z, Circuit, Gate, compose, gate_counts, inverse
+from qvmp.circuit import (
+    CCX,
+    CX,
+    H,
+    LOOKUP,
+    MCX,
+    X,
+    Z,
+    Circuit,
+    Gate,
+    _expanded,
+    _expansion,
+    compose,
+    gate_counts,
+    inverse,
+)
 from qvmp.errors import ContractError, DimensionError
 from qvmp.grover import (
     QvmpInstance,
@@ -106,9 +121,11 @@ class TestQrom:
             assert sv.amplitudes[r] == 1.0  # data register untouched
 
     def test_chunk_structure(self):
-        # each chunk: X selection, one multi-controlled write per set bit, X undo
+        # one lookup gate, whose expansion has one chunk per row: X
+        # selection, one multi-controlled write per set bit, X undo
         q = build_qrom(BitMatrix.from_rows([[1], [0]]))
-        assert [g.kind for g in q.gates] == [X, CX, X]
+        assert q.gates == [Gate(LOOKUP, (0,), (1,), table=(1, 0))]
+        assert [g.kind for g in _expansion(q.gates[0])] == [X, CX, X]
 
     def test_rejects_non_power_rows(self):
         with pytest.raises(DimensionError):
@@ -286,7 +303,8 @@ class TestOracle:
     def test_shares_the_public_lookup(self, n, m, dual, fold_y):
         """The oracle is build_qrom's gates on (address, a, z), the inner
         product, the phase gates, the inner product reversed and the lookup
-        reversed, gate for gate."""
+        reversed, gate for gate once each lookup is expanded; each lookup
+        is one gate."""
         inst = make_instance(n, m, {1, n - 1}, seed=n + m)
         oracle = build_oracle(inst, dual, fold_y)
 
@@ -295,7 +313,7 @@ class TestOracle:
 
         def renumbered(c, onto):
             return [Gate(g.kind, tuple(onto[q] for q in g.controls),
-                         tuple(onto[q] for q in g.targets)) for g in c.gates]
+                         tuple(onto[q] for q in g.targets)) for g in _expanded(c.gates)]
 
         a, z = wires("a"), wires("z")
         table = append_column(inst.matrix, inst.z)
@@ -305,10 +323,12 @@ class TestOracle:
         else:
             dot = renumbered(build_inner_product(m), a + wires("y") + z)
         phase = [Gate(kind, (), tuple(z)) for kind in ((X, Z, X) if dual else (Z,))]
+        flat = _expanded(oracle.gates)
         size = len(lookup)
-        assert oracle.gates[:size] == lookup
-        assert oracle.gates[-size:] == lookup[::-1]
-        assert oracle.gates[size:-size] == dot + phase + dot[::-1]
+        assert flat[:size] == lookup
+        assert flat[-size:] == lookup[::-1]
+        assert flat[size:-size] == dot + phase + dot[::-1]
+        assert len(oracle.gates) == 2 + len(dot) * 2 + len(phase)
 
 
 class TestPlanning:
@@ -433,9 +453,10 @@ class TestGroverSearch:
     @pytest.mark.parametrize("dual", [False, True])
     @pytest.mark.parametrize("iterations", [1, 2])
     def test_fold_y_is_partial_evaluation_on_y(self, n, m, seed, dual, iterations):
-        # Evaluate the unfolded circuit on the classical y by hand: drop the
-        # X gates that load y, keep ccx(a_i, y_i, z) as cx(a_i, z) where
-        # y_i = 1 and drop it where y_i = 0, and renumber past the y register.
+        # Evaluate the unfolded circuit, lookups expanded, on the classical
+        # y by hand: drop the X gates that load y, keep ccx(a_i, y_i, z) as
+        # cx(a_i, z) where y_i = 1 and drop it where y_i = 0, and renumber
+        # past the y register.
         inst = make_instance(n, m, {1, n - 1}, seed=seed)
         assert 0 < inst.y.bits < (1 << m) - 1  # both kinds of y bit occur
         full = build_grover_search(inst, iterations, dual=dual)
@@ -447,7 +468,7 @@ class TestGroverSearch:
             return tuple(q - m if q > past_y else q for q in qs)
 
         expected = []
-        for g in full.gates:
+        for g in _expanded(full.gates):
             ys = [q for q in g.qubits() if q in y_of]
             if not ys:
                 expected.append(Gate(g.kind, renumber(g.controls), renumber(g.targets), g.classical))
@@ -457,7 +478,7 @@ class TestGroverSearch:
                 a_i = [q for q in g.controls if q not in y_of]
                 expected.append(Gate(CX, renumber(a_i), renumber(g.targets)))
         folded = build_grover_search(inst, iterations, dual=dual, fold_y=True)
-        assert folded.gates == expected
+        assert _expanded(folded.gates) == expected
         assert folded.registers == tuple(r for r in full.registers if r[0] != "y")
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvmp.circuit import Circuit
+from qvmp.circuit import LOOKUP, Circuit, Gate, _expanded
 from qvmp.errors import ContractError, FormatError, ResourceError
 from qvmp.grover import build_grover_search, plan_iterations
 from qvmp.runner import generate_instance
@@ -120,6 +120,44 @@ class TestSparseEngine:
         assert stats["engine"] == "dense"
         assert stats["peak_support"] == 1 << n
         assert np.max(np.abs(amps - reference_amplitudes(c, initial))) < 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_lookup_matches_its_expansion(self, data):
+        """A lookup applied as one gather (sparse) or one mcx per row
+        (dense) equals its expansion run gate by gate, under X gates on its
+        address and data qubits. Hadamards on at most n - 3 qubits keep the
+        support within the 2^n/8 handoff; in the dense case the state stays
+        a basis state until an H on every qubit hands it off midway."""
+        n = data.draw(st.integers(3, 8))
+        dense = data.draw(st.booleans())
+
+        def lookup():
+            order = data.draw(st.permutations(range(n)))
+            k = data.draw(st.integers(1, min(3, n - 1)))
+            d = data.draw(st.integers(1, min(3, n - k)))
+            table = data.draw(st.lists(st.integers(0, (1 << d) - 1),
+                                       min_size=1 << k, max_size=1 << k))
+            return Gate(LOOKUP, tuple(order[:k]), tuple(order[k:k + d]), table=tuple(table),
+                        reverse=data.draw(st.booleans()))
+
+        def xs():
+            return [("x", [q]) for q in data.draw(st.lists(st.integers(0, n - 1), max_size=n))]
+
+        spread = [] if dense else data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                                     max_size=n - 3))
+        c = circuit_from(n, xs() + [("h", [q]) for q in spread] + xs())
+        c.append(lookup())
+        c.extend(circuit_from(n, xs() + [("h", [q]) for q in range(n) if dense] + xs()))
+        c.append(lookup())
+        c.extend(circuit_from(n, xs()))
+        flat = Circuit(c.registers)
+        flat.gates = _expanded(c.gates)
+        initial = data.draw(st.integers(0, (1 << n) - 1))
+        amps, stats = evolved_amplitudes(c, initial)
+        assert stats["engine"] == ("dense" if dense else "sparse")
+        assert np.array_equal(amps, evolved_amplitudes(flat, initial)[0])
+        assert np.max(np.abs(amps - reference_amplitudes(flat, initial))) < 1e-12
 
     def test_few_hadamards_stay_sparse(self):
         c = Circuit((("q", 12),))
