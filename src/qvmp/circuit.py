@@ -11,9 +11,12 @@ address qubits, its targets the data qubits, and ``table`` holds one word
 per address, so |r>|d> -> |r>|d xor table[r]>. It stands for a per-row
 select-write-unselect expansion (``_expansion``), which ``lower`` emits
 and which ``gate_counts``, ``depth``, ``metrics`` and ``lowered_metrics``
-count; the simulator applies it directly. Every unitary kind here is
-self-inverse, so inversion reverses the gate order; a lookup keeps its
-table and reverses the order its expansion is written in (``reverse``).
+count; the simulator applies it directly. The counts read one census of
+(kind, control count) (``_census``), and the depths before and after
+lowering come from one layering walker (``_depth``). Every unitary kind
+here is self-inverse, so inversion reverses the gate order; a lookup keeps
+its table and reverses the order its expansion is written in
+(``reverse``).
 """
 from __future__ import annotations
 
@@ -344,20 +347,40 @@ def _lookup_census(g: Gate) -> list[tuple[tuple[str, int], int]]:
     return [entry for entry in census if entry[1]]
 
 
-def _lookup_layers(level: list[int], g: Gate, rows: list, anc0: int | None = None) -> int:
-    """Lay a lookup's expansion, given as its ``_lookup_rows``, onto a
-    ``depth`` level table row by row; returns the deepest layer it reaches.
+def _census(c: Circuit) -> dict[tuple[str, int], int]:
+    """Gates per (kind, control count) in first-appearance order, a lookup
+    counted as its expansion."""
+    census: dict[tuple[str, int], int] = {}
+    for g in c.gates:
+        if g.kind == LOOKUP:
+            for key, num in _lookup_census(g):
+                census[key] = census.get(key, 0) + num
+        else:
+            key = (g.kind, len(g.controls))
+            census[key] = census.get(key, 0) + 1
+    return census
 
-    A row's writes share the address, so each sits at max(previous write
-    + 1, target level + 1). With ``anc0`` and three or more address qubits,
-    each write is instead a v-chain on the ancillas from ``anc0``, as
-    ``lowered_metrics`` counts it, and a row's writes are one same-control
-    run: the first chain is laid gate by gate, each later middle ccx sits
-    at max(previous middle + 2k - 3, target level + 1), and the chain
-    closes once per row.
+
+def _lay_rows(level: list[int], controls: tuple[int, ...], targets: tuple[int, ...],
+              rows: Sequence, anc0: int | None) -> int:
+    """Lay rows of X gates controlled by ``controls`` onto a ``_depth``
+    level table; returns the deepest layer on ``controls`` and ``targets``.
+
+    A row is (flips, writes), as ``_lookup_rows`` gives them: an X on each
+    flipped control before and after the row, and one controlled X onto
+    each written target. The writes share their controls, so each sits at
+    max(previous write + 1, target level + 1). With ``anc0`` and three or
+    more controls, each write is instead a v-chain on the ancillas from
+    ``anc0``, as ``lower`` writes it: the first chain is laid gate by gate,
+    each later middle ccx sits at max(previous middle + 2k - 3, target
+    level + 1) (its compute half starts right after the previous
+    uncompute half ends on the controls), and the chain closes once per
+    row. The uncompute half mirrors the compute half one layer per step
+    after the last middle: ccx i (on c_{i+1}, a_{i-1} -> a_i) lands at
+    middle + k - 2 - i, so a_i and c_{i+1} end there, c_0 with c_1 and a_0
+    at middle + k - 2, and c_{k-1}, used only by the middle ccx, at middle.
     """
-    address = g.controls
-    k = len(address)
+    k = len(controls)
     chained = anc0 is not None and k >= 3
     stride = 2 * k - 3 if chained else 1
     for flips, writes in rows:
@@ -365,12 +388,12 @@ def _lookup_layers(level: list[int], g: Gate, rows: list, anc0: int | None = Non
             level[q] += 1
         if writes:
             if chained:
-                lv = max(level[address[0]], level[address[1]], level[anc0]) + 1
+                lv = max(level[controls[0]], level[controls[1]], level[anc0]) + 1
                 for i in range(1, k - 2):
-                    lv = max(level[address[i + 1]], lv, level[anc0 + i]) + 1
-                earliest = max(level[address[-1]], lv) + 1
+                    lv = max(level[controls[i + 1]], lv, level[anc0 + i]) + 1
+                earliest = max(level[controls[-1]], lv) + 1
             else:
-                earliest = max([level[q] for q in address]) + 1
+                earliest = max([level[q] for q in controls]) + 1
             for t in writes:
                 layer = level[t] + 1
                 if layer < earliest:
@@ -378,51 +401,73 @@ def _lookup_layers(level: list[int], g: Gate, rows: list, anc0: int | None = Non
                 level[t] = layer
                 earliest = layer + stride
             if chained:
-                _close_chain(level, address, anc0, layer)
+                top = layer + k - 2
+                level[controls[0]] = top
+                for i in range(k - 2):
+                    level[controls[i + 1]] = level[anc0 + i] = top - i
+                level[controls[-1]] = layer
             else:
-                for q in address:
+                for q in controls:
                     level[q] = layer
         for q in flips:
             level[q] += 1
-    return max([level[q] for q in address + g.targets])
+    return max([level[q] for q in controls + targets])
+
+
+def _depth(c: Circuit, anc0: int | None) -> int:
+    """Greedy layering of ``c`` (``anc0`` None) or of ``lower(c)`` (``anc0``
+    the first ancilla, ``c.num_qubits``), on one level table per qubit.
+
+    A lookup is laid as its ``_lookup_rows`` by ``_lay_rows``. Lowered, an
+    mcx is one such row with no flips, so k >= 3 controls lay a v-chain,
+    and an mcz is that row with one layer (an h) on its target before and
+    after it. Every other gate is one layer after the deepest earlier gate
+    sharing any of its qubits; measurement counts as a gate.
+    """
+    n = c.num_qubits
+    level = [0] * (n if anc0 is None else n + max(n - 3, 0))  # k <= n - 1 controls
+    best = 0
+    made: dict[int, list] = {}
+    for g in c.gates:
+        kind = g.kind
+        if kind == LOOKUP:
+            layer = _lay_rows(level, g.controls, g.targets, _rows_of(g, made), anc0)
+        elif anc0 is not None and (kind == MCX or kind == MCZ):
+            t = g.targets[0]
+            if kind == MCZ:
+                level[t] += 1
+            layer = _lay_rows(level, g.controls, g.targets, (((), g.targets),), anc0)
+            if kind == MCZ:
+                level[t] += 1
+                if level[t] > layer:
+                    layer = level[t]
+        else:
+            qubits = g.controls + g.targets
+            layer = 0
+            for q in qubits:
+                if level[q] > layer:
+                    layer = level[q]
+            layer += 1
+            for q in qubits:
+                level[q] = layer
+        if layer > best:
+            best = layer
+    return best
 
 
 def depth(c: Circuit) -> int:
     """Greedy layering: each gate sits one layer after the deepest earlier
     gate sharing any of its qubits. Measurement counts as a gate, and a
     lookup as its expansion, walked row by row."""
-    level = [0] * c.num_qubits
-    best = 0
-    made: dict[int, list] = {}
-    for g in c.gates:
-        if g.kind == LOOKUP:
-            layer = _lookup_layers(level, g, _rows_of(g, made))
-            if layer > best:
-                best = layer
-            continue
-        qubits = g.controls + g.targets
-        layer = 0
-        for q in qubits:
-            if level[q] > layer:
-                layer = level[q]
-        layer += 1
-        for q in qubits:
-            level[q] = layer
-        if layer > best:
-            best = layer
-    return best
+    return _depth(c, None)
 
 
 def gate_counts(c: Circuit) -> dict[str, int]:
     """Gates per kind in first-appearance order, a lookup counted as its
     expansion."""
     counts: dict[str, int] = {}
-    for g in c.gates:
-        if g.kind == LOOKUP:
-            for (kind, _), num in _lookup_census(g):
-                counts[kind] = counts.get(kind, 0) + num
-        else:
-            counts[g.kind] = counts.get(g.kind, 0) + 1
+    for (kind, _), num in _census(c).items():
+        counts[kind] = counts.get(kind, 0) + num
     return counts
 
 
@@ -455,7 +500,7 @@ def lower(c: Circuit) -> Circuit:
     ``lowered_metrics`` gives ``metrics`` of the result without building it.
     """
     flat = _expanded(c.gates)
-    n_anc = _ancilla_width({(g.kind, len(g.controls)) for g in flat})
+    n_anc = _ancilla_width(_census(c))
     regs = c.registers + (((_ancilla_register(c), n_anc),) if n_anc else ())
     out = Circuit(regs, c.classical_bits)
     anc0 = c.num_qubits
@@ -496,117 +541,16 @@ def lower(c: Circuit) -> Circuit:
     return out
 
 
-def _close_chain(level: list[int], controls: tuple[int, ...], anc0: int, middle: int) -> int:
-    """Write the levels a v-chain leaves on its controls and ancillas once
-    its middle ccx sits at layer ``middle``; returns its last layer.
-
-    The uncompute half mirrors the compute half one layer per step after
-    the middle: ccx i (on c_{i+1}, a_{i-1} -> a_i) lands at
-    middle + k - 2 - i, so a_i and c_{i+1} end there, c_0 with c_1 and a_0
-    at middle + k - 2, and c_{k-1}, used only by the middle ccx, at middle.
-    """
-    k = len(controls)
-    top = middle + k - 2
-    level[controls[0]] = top
-    for i in range(k - 2):
-        level[controls[i + 1]] = level[anc0 + i] = top - i
-    level[controls[-1]] = middle
-    return top
-
-
 def lowered_metrics(c: Circuit) -> dict:
-    """``metrics(lower(c))``, from one pass over ``c``'s gates without
-    building the lowered circuit.
+    """``metrics(lower(c))``, from ``c``'s census and one ``_depth`` walk
+    over its gates, without building the lowered circuit.
 
-    Gate counts follow from a census of (kind, control count): a k >= 3
-    control mcx lowers to 2k-3 ccx and an mcz adds two h. Depth runs the
-    ``depth`` level table over ``c``'s qubits and the ancillas; a wide
-    gate applies the v-chain's layering to the table directly. In a run
-    of mcx on the same k controls, each gate after the first starts its
-    chain right after the previous chain ends on those controls, so its
-    middle ccx sits at max(previous middle + 2k - 3, target level + 1), and
-    the control and ancilla levels are written once, when the run ends. A
-    lookup counts as its expansion, whose rows are each such a run
-    (``_lookup_layers``), with its census in closed form.
+    Gate counts follow from the census of (kind, control count): a k >= 3
+    control mcx lowers to 2k-3 ccx, an mcz adds two h, and a lookup counts
+    as its expansion. Depth lays each mcx, mcz and lookup write as the
+    v-chain ``lower`` writes on the ancillas after ``c``'s qubits.
     """
-    n = c.num_qubits
-    anc0 = n
-    level = [0] * (n + max(n - 3, 0))  # k <= n - 1 controls need k - 2 ancillas
-    census: dict[tuple[str, int], int] = {}
-    best = 0
-    run: tuple[int, ...] | None = None  # controls of the open run of mcx
-    middle = 0  # layer of the open run's last middle ccx
-    step = extra = 0  # 2k - 3 for the open run; its gates after the first
-    made: dict[int, list] = {}
-    for g in c.gates:
-        ctrls = g.controls
-        kind = g.kind
-        if ctrls == run and kind == MCX:
-            t = g.targets[0]
-            middle += step
-            if level[t] >= middle:
-                middle = level[t] + 1
-            level[t] = middle
-            extra += 1
-            continue
-        if run is not None:
-            top = _close_chain(level, run, anc0, middle)
-            if top > best:
-                best = top
-            census[(MCX, len(run))] += extra
-            run = None
-        if kind == LOOKUP:
-            for key, num in _lookup_census(g):
-                census[key] = census.get(key, 0) + num
-            top = _lookup_layers(level, g, _rows_of(g, made), anc0)
-            if top > best:
-                best = top
-            continue
-        k = len(ctrls)
-        key = (kind, k)
-        census[key] = census.get(key, 0) + 1
-        if k >= 3 and (kind == MCX or kind == MCZ):
-            t = g.targets[0]
-            lt = level[t] + 1 if kind == MCZ else level[t]  # after the leading h
-            lv = max(level[ctrls[0]], level[ctrls[1]], level[anc0]) + 1
-            for i in range(1, k - 2):
-                lv = max(level[ctrls[i + 1]], lv, level[anc0 + i]) + 1
-            middle = max(level[ctrls[-1]], lv, lt) + 1
-            if kind == MCX:
-                level[t] = middle
-                run, step, extra = ctrls, 2 * k - 3, 0
-            else:
-                level[t] = middle + 1
-                top = _close_chain(level, ctrls, anc0, middle)
-                if top > best:
-                    best = top
-            continue
-        if kind == MCZ:  # one or two controls: h, cx or ccx, h
-            t = g.targets[0]
-            lv = level[t] + 1
-            for q in ctrls:
-                if level[q] > lv:
-                    lv = level[q]
-            lv += 1
-            for q in ctrls:
-                level[q] = lv
-            level[t] = lv = lv + 1
-        else:
-            lv = 0
-            for q in ctrls + g.targets:
-                if level[q] > lv:
-                    lv = level[q]
-            lv += 1
-            for q in ctrls + g.targets:
-                level[q] = lv
-        if lv > best:
-            best = lv
-    if run is not None:
-        top = _close_chain(level, run, anc0, middle)
-        if top > best:
-            best = top
-        census[(MCX, len(run))] += extra
-
+    census = _census(c)
     counts: dict[str, int] = {}
     for (kind, k), num in census.items():
         if kind in BASIS_KINDS:
@@ -619,8 +563,8 @@ def lowered_metrics(c: Circuit) -> dict:
         else:
             counts[_x_kind(k)] = counts.get(_x_kind(k), 0) + num
     return {
-        "depth": best,
-        "qubits": n + _ancilla_width(census),
+        "depth": _depth(c, c.num_qubits),
+        "qubits": c.num_qubits + _ancilla_width(census),
         "counts": counts,
         "total_gates": sum(counts.values()),
     }

@@ -123,6 +123,11 @@ def _cmd_histogram(args) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_grid(path: str) -> list[tuple]:
     """(n, m, mismatches) rows of a ``--grid`` file; FormatError unless it
     is a JSON list of objects that each hold those three keys, with integer
@@ -139,9 +144,9 @@ def _load_grid(path: str) -> list[tuple]:
         if missing:
             raise FormatError(f"grid row {json.dumps(row)} lacks {', '.join(missing)}")
         mismatches = row["mismatches"]
-        if not (isinstance(row["n"], int) and isinstance(row["m"], int)
-                and (isinstance(mismatches, int) or isinstance(mismatches, list)
-                     and all(isinstance(r, int) for r in mismatches))):
+        if not (_is_int(row["n"]) and _is_int(row["m"])
+                and (_is_int(mismatches) or isinstance(mismatches, list)
+                     and all(_is_int(r) for r in mismatches))):
             raise FormatError(f"grid row {json.dumps(row)} needs integer n, m and mismatches")
     return [(row["n"], row["m"], row["mismatches"]) for row in spec]
 

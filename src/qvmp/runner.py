@@ -219,18 +219,21 @@ def emit_metrics(grid=None, seed: int = 0) -> list[dict]:
     """Circuit metrics for each (n, m, mismatches) grid row, before and
     after lowering to the {x, h, z, cx, ccx} basis. Construction only; no
     simulation, and the lowered columns are computed by
-    ``circuit.lowered_metrics`` without building the lowered circuit."""
+    ``circuit.lowered_metrics`` without building the lowered circuit.
+    The ``mismatches`` column is the number of mismatched rows, also for a
+    row that lists their indices."""
     rows = []
     for n, m, mismatches in (grid if grid is not None else DEFAULT_METRICS_GRID):
         inst = generate_instance(n, m, mismatches, seed)
-        plan = plan_iterations(n, len(inst.solutions), "optimal")
+        solutions = len(inst.solutions)
+        plan = plan_iterations(n, solutions, "optimal")
         search = build_grover_search(inst, plan.iterations)
         pre = circ_mod.metrics(search)
         post = circ_mod.lowered_metrics(search)
         row = {
             "n": n,
             "m": m,
-            "mismatches": mismatches,
+            "mismatches": solutions,
             "iterations": plan.iterations,
             "qubits": pre["qubits"],
             "depth": pre["depth"],

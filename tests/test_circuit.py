@@ -65,6 +65,19 @@ def reference_depth(c):
     return max(layers, default=0)
 
 
+def layered_depth(gates):
+    """Greedy layering of a materialised gate list, one gate at a time with
+    a level per qubit: ``reference_depth`` in linear time."""
+    level = {}
+    best = 0
+    for g in gates:
+        layer = 1 + max((level.get(q, 0) for q in g.qubits()), default=0)
+        for q in g.qubits():
+            level[q] = layer
+        best = max(best, layer)
+    return best
+
+
 class TestConstruction:
     def test_registers_fix_global_order(self):
         c = Circuit((("address", 2), ("a", 3), ("z", 1)))
@@ -476,10 +489,12 @@ def expanded(c):
 
 
 def assert_lowered_metrics_exact(c):
-    want = metrics(lower(c))
+    lowered = lower(c)
+    want = metrics(lowered)
     got = lowered_metrics(c)
     assert got == want
     assert list(got["counts"]) == list(want["counts"])  # first-appearance order
+    assert got["depth"] == layered_depth(lowered.gates)
 
 
 class TestLoweredMetrics:
@@ -487,6 +502,12 @@ class TestLoweredMetrics:
     @given(lowering_circuits())
     def test_random_circuits_match_lowering(self, c):
         assert_lowered_metrics_exact(c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lowering_circuits())
+    def test_linear_reference_matches_full_scan(self, c):
+        for circ in (expanded(c), lower(c)):
+            assert layered_depth(circ.gates) == reference_depth(circ)
 
     def test_empty(self):
         assert lowered_metrics(Circuit((("q", 2),))) == metrics(Circuit((("q", 2),)))
@@ -596,10 +617,12 @@ class TestLookup:
     @settings(max_examples=300, deadline=None)
     @given(lowering_circuits())
     def test_metrics_count_the_expansion(self, c):
-        want = metrics(expanded(c))
+        flat = expanded(c)
+        want = metrics(flat)
         got = metrics(c)
         assert got == want
         assert list(got["counts"]) == list(want["counts"])
+        assert got["depth"] == layered_depth(flat.gates)
 
     @settings(max_examples=100, deadline=None)
     @given(lowering_circuits(measure=False))

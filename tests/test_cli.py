@@ -152,7 +152,10 @@ class TestMetricsCommand:
                                       '[[4, 4, 1]]', '[{"n": 4}]',
                                       '[{"n": "4", "m": 4, "mismatches": 1}]',
                                       '[{"n": 4, "m": 4.0, "mismatches": 1}]',
-                                      '[{"n": 4, "m": 4, "mismatches": ["1"]}]'])
+                                      '[{"n": 4, "m": 4, "mismatches": ["1"]}]',
+                                      '[{"n": 8, "m": true, "mismatches": 1}]',
+                                      '[{"n": 8, "m": 4, "mismatches": true}]',
+                                      '[{"n": 8, "m": 4, "mismatches": [true]}]'])
     def test_bad_grid_exit_two(self, tmp_path, capsys, text):
         p = tmp_path / "grid.json"
         p.write_text(text)

@@ -271,7 +271,8 @@ class TestMetricsEmission:
         assert row["lowered_ccx"] > 0
 
     def test_csv_round_trip(self):
-        rows = emit_metrics([(4, 4, 1), (16, 4, 2)])
+        rows = emit_metrics([(4, 4, 1), (16, 4, 2), (8, 4, (1, 1, 2))])
+        assert rows[-1]["mismatches"] == 2  # rows 1 and 2; the repeat counts once
         text = metrics_to_csv(rows)
         assert metrics_from_csv(text) == rows
 
