@@ -13,10 +13,14 @@ select-write-unselect expansion (``_expansion``), which ``lower`` emits
 and which ``gate_counts``, ``depth``, ``metrics`` and ``lowered_metrics``
 count; the simulator applies it directly. The counts read one census of
 (kind, control count) (``_census``), and the depths before and after
-lowering come from one layering walker (``_depth``). Every unitary kind
-here is self-inverse, so inversion reverses the gate order; a lookup keeps
-its table and reverses the order its expansion is written in
-(``reverse``).
+lowering come from one layering walker (``_depth``). It lays a lookup
+write by write (``_lay_rows``) only until each data qubit has been written
+once and around zero-word rows, and every other row in closed form from
+its popcount and its X gates (``_lay_lookup``): O(n + prefix writes + m)
+steps per lookup of n rows and m data qubits, not one per set table bit.
+Every unitary kind here is self-inverse, so inversion reverses the gate
+order; a lookup keeps its table and reverses the order its expansion is
+written in (``reverse``).
 """
 from __future__ import annotations
 
@@ -282,41 +286,35 @@ def inverse(c: Circuit) -> Circuit:
     return out
 
 
-def _lookup_rows(g: Gate) -> list[tuple[list[int], list[int]]]:
-    """A lookup's expansion as one chunk per row, in written order: the
-    address qubits its X gates select on (where the row index has a 0 bit)
-    and the data qubits it writes (where the row's word has a 1 bit).
+def _row(g: Gate, j: int) -> tuple[list[int], list[int]]:
+    """Row ``j`` of a lookup's expansion in written order: the address
+    qubits its X gates select on (where the row index has a 0 bit) and the
+    data qubits it writes (where the row's word has a 1 bit).
 
-    Each chunk is those X gates, one X controlled by the whole address onto
+    The row is those X gates, one X controlled by the whole address onto
     each written qubit, and the X gates again. Rows run 0..n-1; ``reverse``
-    reads the whole gate list backwards.
+    reads the whole gate list backwards, so row j is then row n-1-j with
+    its flips and writes in reverse order.
     """
-    address, data = g.controls, g.targets
-    k = len(address)
-    rows = [([address[i] for i in range(k) if not (r >> i) & 1],
-             [q for i, q in enumerate(data) if word >> i & 1])
-            for r, word in enumerate(g.table)]
+    r = len(g.table) - 1 - j if g.reverse else j
+    word = g.table[r]
+    flips = [q for i, q in enumerate(g.controls) if not r >> i & 1]
+    # one pass over the word's bits, low first: no shift of a wide word per bit
+    writes = [q for q, bit in zip(g.targets, bin(word)[:1:-1]) if bit == "1"]
     if g.reverse:
-        rows = [(flips[::-1], writes[::-1]) for flips, writes in reversed(rows)]
-    return rows
-
-
-def _rows_of(g: Gate, made: dict[int, list]) -> list:
-    """``_lookup_rows(g)``, made once per lookup gate object and caller's
-    ``made`` dict: a search repeats its iteration's gate objects."""
-    rows = made.get(id(g))
-    if rows is None:
-        rows = made[id(g)] = _lookup_rows(g)
-    return rows
+        flips.reverse()
+        writes.reverse()
+    return flips, writes
 
 
 def _expansion(g: Gate) -> list[Gate]:
-    """The gates a lookup stands for, in written order (``_lookup_rows``);
-    the select and write gates are made once and shared by every row."""
+    """The gates a lookup stands for, row by row (``_row``); the select
+    and write gates are made once and shared by every row."""
     select = {q: Gate(X, (), (q,)) for q in g.controls}
     write = {q: Gate(_x_kind(len(g.controls)), g.controls, (q,)) for q in g.targets}
     gates: list[Gate] = []
-    for flips, writes in _lookup_rows(g):
+    for j in range(len(g.table)):
+        flips, writes = _row(g, j)
         xs = [select[q] for q in flips]
         gates += xs
         gates += [write[q] for q in writes]
@@ -361,33 +359,55 @@ def _census(c: Circuit) -> dict[tuple[str, int], int]:
     return census
 
 
+def _close_row(level: list[int], controls: tuple[int, ...], layer: int,
+               anc0: int | None) -> None:
+    """Set ``controls``, and the ancillas from ``anc0`` when the writes are
+    v-chains (``anc0`` not None), to where a row whose last write sits at
+    ``layer`` leaves them, before its closing X gates.
+
+    The uncompute half mirrors the compute half one layer per step after
+    the last middle ccx: ccx i (on c_{i+1}, a_{i-1} -> a_i) lands at
+    layer + k - 2 - i, so a_i and c_{i+1} end there, c_0 with c_1 and a_0
+    at layer + k - 2, and c_{k-1}, used only by the middle ccx, at layer.
+    Unchained, every control ends with the last write.
+    """
+    if anc0 is None:
+        for q in controls:
+            level[q] = layer
+        return
+    top = layer + len(controls) - 2
+    level[controls[0]] = top
+    for i in range(len(controls) - 2):
+        level[controls[i + 1]] = level[anc0 + i] = top - i
+    level[controls[-1]] = layer
+
+
 def _lay_rows(level: list[int], controls: tuple[int, ...], targets: tuple[int, ...],
               rows: Sequence, anc0: int | None) -> int:
     """Lay rows of X gates controlled by ``controls`` onto a ``_depth``
-    level table; returns the deepest layer on ``controls`` and ``targets``.
+    level table, write by write; returns the deepest layer on ``controls``
+    and ``targets``.
 
-    A row is (flips, writes), as ``_lookup_rows`` gives them: an X on each
-    flipped control before and after the row, and one controlled X onto
-    each written target. The writes share their controls, so each sits at
+    A row is (flips, writes), as ``_row`` gives them: an X on each flipped
+    control before and after the row, and one controlled X onto each
+    written target. The writes share their controls, so each sits at
     max(previous write + 1, target level + 1). With ``anc0`` and three or
     more controls, each write is instead a v-chain on the ancillas from
     ``anc0``, as ``lower`` writes it: the first chain is laid gate by gate,
     each later middle ccx sits at max(previous middle + 2k - 3, target
     level + 1) (its compute half starts right after the previous
     uncompute half ends on the controls), and the chain closes once per
-    row. The uncompute half mirrors the compute half one layer per step
-    after the last middle: ccx i (on c_{i+1}, a_{i-1} -> a_i) lands at
-    middle + k - 2 - i, so a_i and c_{i+1} end there, c_0 with c_1 and a_0
-    at middle + k - 2, and c_{k-1}, used only by the middle ccx, at middle.
+    row (``_close_row``).
     """
     k = len(controls)
-    chained = anc0 is not None and k >= 3
-    stride = 2 * k - 3 if chained else 1
+    if k < 3:
+        anc0 = None
+    stride = 1 if anc0 is None else 2 * k - 3
     for flips, writes in rows:
         for q in flips:
             level[q] += 1
         if writes:
-            if chained:
+            if anc0 is not None:
                 lv = max(level[controls[0]], level[controls[1]], level[anc0]) + 1
                 for i in range(1, k - 2):
                     lv = max(level[controls[i + 1]], lv, level[anc0 + i]) + 1
@@ -400,17 +420,100 @@ def _lay_rows(level: list[int], controls: tuple[int, ...], targets: tuple[int, .
                     layer = earliest
                 level[t] = layer
                 earliest = layer + stride
-            if chained:
-                top = layer + k - 2
-                level[controls[0]] = top
-                for i in range(k - 2):
-                    level[controls[i + 1]] = level[anc0 + i] = top - i
-                level[controls[-1]] = layer
-            else:
-                for q in controls:
-                    level[q] = layer
+            _close_row(level, controls, layer, anc0)
         for q in flips:
             level[q] += 1
+    return max([level[q] for q in controls + targets])
+
+
+def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> int:
+    """Lay a lookup's expansion onto a ``_depth`` level table, as
+    ``_lay_rows`` would lay all its rows; returns the deepest layer on its
+    qubits. Per-write work is done only where a write can be late.
+
+    Every row uses all address qubits, so a row starts after the previous
+    row ends on them, and a data qubit written before in this lookup sits
+    at or below L, the layer of the previous row's last write. Once every
+    bit of the table's OR has been written, a row after a row with writes
+    therefore lays in closed form: its writes land at start + i·stride,
+    start = L + stride + d, where stride is 2k - 3 for a v-chain and 1
+    otherwise, and d is the most X gates (0, 1 or 2: the previous row's
+    closing ones and this row's opening ones) on one address qubit the
+    first write waits on: every address qubit unchained, c_0 and c_1
+    chained. Only the rows before that point, the zero-word rows and the
+    row after each zero-word row go through ``_lay_rows``; the controls and
+    ancillas are set from the closed-form rows' L before such a row and
+    after the last row, and each data qubit from its last write by a
+    backward scan that stops once the table's OR is covered. That is
+    O(n + prefix writes + m) per lookup, not one step per set table bit.
+    """
+    controls, targets, table, reverse = g.controls, g.targets, g.table, g.reverse
+    n, k = len(table), len(controls)
+    if k < 3:
+        anc0 = None
+    stride = 1 if anc0 is None else 2 * k - 3
+    mask = n - 1 if anc0 is None else 3  # the address bits the first write waits on
+    cover = 0
+    for word in table:
+        cover |= word
+    seen = 0  # data bits written so far
+    full: list = []  # rows waiting for _lay_rows
+    last = None  # L, while the level table lags behind closed-form rows
+    starts: dict[int, int] = {}  # written position -> first write layer, closed form
+    prev = prev_word = 0  # the previous row's index and word
+
+    def catch_up() -> None:
+        # the close and closing X gates of row ``prev``, laid in closed form
+        _close_row(level, controls, last, anc0)
+        for i, q in enumerate(controls):
+            if not prev >> i & 1:
+                level[q] += 1
+
+    for j in range(n):
+        r = n - 1 - j if reverse else j
+        word = table[r]
+        if seen != cover or not word or not prev_word:  # walked write by write
+            if last is not None:
+                catch_up()
+                last = None
+            full.append(_row(g, j))
+            seen |= word
+        else:
+            if full:
+                _lay_rows(level, controls, targets, full, anc0)
+                full = []
+                # its last write is on its word's top bit, or its lowest one reversed
+                w = prev_word & -prev_word if reverse else prev_word
+                last = level[targets[w.bit_length() - 1]]
+            if ~prev & ~r & mask:
+                d = 2
+            elif (~prev | ~r) & mask:
+                d = 1
+            else:
+                d = 0
+            starts[j] = start = last + stride + d
+            last = start + (word.bit_count() - 1) * stride
+        prev, prev_word = r, word
+    if full:
+        _lay_rows(level, controls, targets, full, anc0)
+    elif last is not None:
+        catch_up()
+    if starts:
+        done = 0
+        for j in range(n - 1, -1, -1):
+            word = table[n - 1 - j if reverse else j]
+            fresh = word & ~done
+            if fresh and j in starts:
+                start = starts[j]
+                while fresh:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    i = low.bit_length() - 1
+                    before = word >> i + 1 if reverse else word & low - 1
+                    level[targets[i]] = start + before.bit_count() * stride
+            done |= word
+            if done == cover:
+                break
     return max([level[q] for q in controls + targets])
 
 
@@ -418,20 +521,20 @@ def _depth(c: Circuit, anc0: int | None) -> int:
     """Greedy layering of ``c`` (``anc0`` None) or of ``lower(c)`` (``anc0``
     the first ancilla, ``c.num_qubits``), on one level table per qubit.
 
-    A lookup is laid as its ``_lookup_rows`` by ``_lay_rows``. Lowered, an
-    mcx is one such row with no flips, so k >= 3 controls lay a v-chain,
-    and an mcz is that row with one layer (an h) on its target before and
-    after it. Every other gate is one layer after the deepest earlier gate
-    sharing any of its qubits; measurement counts as a gate.
+    A lookup is laid by ``_lay_lookup``, in closed form past each data
+    qubit's first write. Lowered, an mcx is one ``_lay_rows`` row with no
+    flips, so k >= 3 controls lay a v-chain, and an mcz is that row with
+    one layer (an h) on its target before and after it. Every other gate
+    is one layer after the deepest earlier gate sharing any of its qubits;
+    measurement counts as a gate.
     """
     n = c.num_qubits
     level = [0] * (n if anc0 is None else n + max(n - 3, 0))  # k <= n - 1 controls
     best = 0
-    made: dict[int, list] = {}
     for g in c.gates:
         kind = g.kind
         if kind == LOOKUP:
-            layer = _lay_rows(level, g.controls, g.targets, _rows_of(g, made), anc0)
+            layer = _lay_lookup(level, g, anc0)
         elif anc0 is not None and (kind == MCX or kind == MCZ):
             t = g.targets[0]
             if kind == MCZ:
@@ -458,7 +561,8 @@ def _depth(c: Circuit, anc0: int | None) -> int:
 def depth(c: Circuit) -> int:
     """Greedy layering: each gate sits one layer after the deepest earlier
     gate sharing any of its qubits. Measurement counts as a gate, and a
-    lookup as its expansion, walked row by row."""
+    lookup as its expansion, laid in closed form past each data qubit's
+    first write (``_lay_lookup``)."""
     return _depth(c, None)
 
 

@@ -77,7 +77,8 @@ class ExperimentConfig:
             raise ContractError("shots must be >= 1")
         if self.trials < 1:
             raise ContractError("trials must be >= 1")
-        count = self.mismatches if isinstance(self.mismatches, int) else len(self.mismatches)
+        count = (self.mismatches if isinstance(self.mismatches, int)
+                 else len(set(self.mismatches)))  # repeats name one row, as in generate_instance
         if count > self.n:
             raise ContractError("more mismatches than rows")
         if self.fmt not in ("csv", "json"):

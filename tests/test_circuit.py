@@ -481,6 +481,43 @@ def lookup_gates(draw, order):
                 reverse=draw(st.booleans()))
 
 
+@st.composite
+def lifted_lookups(draw):
+    """One lookup gate object appended twice, as a search repeats its
+    iteration's gates: three to six address qubits, one to eight data
+    qubits, and a table mixing zero words, one-bit words and random words.
+    Before it, runs of X gates lift some data qubits and the address qubits
+    a v-chain starts and ends on to high levels, and wide mcx gates lift
+    the ancillas of their v-chains. After each copy, a run of X gates on
+    one data qubit exposes the layer of that qubit's last write."""
+    k = draw(st.integers(3, 6))
+    d = draw(st.integers(1, 8))
+    word = st.one_of(st.just(0), st.integers(0, d - 1).map(lambda i: 1 << i),
+                     st.integers(0, (1 << d) - 1))
+    words = draw(st.lists(word, min_size=1 << k, max_size=1 << k))
+    c = Circuit((("address", k), ("data", d)))
+    address, data = list(range(k)), list(range(k, k + d))
+
+    def lift(qubits):
+        q = draw(st.sampled_from(qubits))
+        for _ in range(draw(st.integers(1, 300))):
+            c.x(q)
+
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            order = draw(st.permutations(address + data))
+            width = draw(st.integers(3, k + d - 1))
+            c.mcx(order[:width], order[width])
+        else:
+            lift(data + [address[0], address[1], address[-1]])
+    gate = Gate(LOOKUP, tuple(address), tuple(data), table=tuple(words),
+                reverse=draw(st.booleans()))
+    for _ in range(2):
+        c.append(gate)
+        lift(data)
+    return c
+
+
 def expanded(c):
     """``c`` with every lookup replaced by its expansion."""
     out = Circuit(c.registers, c.classical_bits)
@@ -508,6 +545,13 @@ class TestLoweredMetrics:
     def test_linear_reference_matches_full_scan(self, c):
         for circ in (expanded(c), lower(c)):
             assert layered_depth(circ.gates) == reference_depth(circ)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lifted_lookups())
+    def test_lookup_after_lifted_qubits(self, c):
+        # the closed-form rows of the walker against the laid expansion
+        assert_lowered_metrics_exact(c)
+        assert metrics(c)["depth"] == layered_depth(expanded(c).gates)
 
     def test_empty(self):
         assert lowered_metrics(Circuit((("q", 2),))) == metrics(Circuit((("q", 2),)))

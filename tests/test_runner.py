@@ -79,6 +79,14 @@ class TestConfig:
         with pytest.raises(ContractError):
             ExperimentConfig(fmt="yaml")
 
+    def test_repeated_mismatch_rows_count_once(self):
+        # generate_instance reads (1, 1, 1) as one mismatched row, so the
+        # config must accept it wherever the instance does.
+        cfg = ExperimentConfig(n=2, m=2, mismatches=(1, 1, 1))
+        assert len(generate_instance(cfg.n, cfg.m, cfg.mismatches, 0).solutions) == 1
+        with pytest.raises(ContractError):
+            ExperimentConfig(n=2, m=2, mismatches=(0, 1, 2))
+
 
 class TestVerdictReport:
     def test_witness_iff_inconsistent(self):
