@@ -20,7 +20,11 @@ byte-identical. The families are
   ``build_inner_product(m)``, ``build_diffuser(log2 n)`` and
   ``build_oracle`` for all four (dual, fold_y) pairs;
 - ``search_lowered`` and ``builders_lowered``: the same circuits through
-  ``lower``, as ``dump`` and registers of the lowered circuit.
+  ``lower``, as ``dump`` and registers of the lowered circuit;
+- ``scaling``: the ``emit_metrics`` CSV of the ``scaling_grid.json`` rows
+  with n <= 1024 (up to 25 iterations), and ``metrics`` and
+  ``lowered_metrics`` of ``build_grover_search`` at 5, 9 and 17
+  iterations, plain, dual and ``fold_y``, on the ``search`` sizes.
 
 The unlowered ``search`` and ``builders`` dumps show a table lookup as one
 ``lookup`` gate since that op was added, so only the lowered families
@@ -34,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from pathlib import Path
 
 from qvmp import circuit
 from qvmp.bitlinalg import BitMatrix, append_column, matmul, random_matrix
@@ -62,6 +67,7 @@ HISTOGRAM_CASES = (
     ("qvmp", 16, 8, 2, 2),
 )
 SEARCH_SIZES = ((4, 4), (8, 8), (16, 16), (32, 6), (64, 8))
+SCALING_GRID = Path(__file__).with_name("scaling_grid.json")
 
 
 def flipped_product(n: int, seed: int):
@@ -143,6 +149,18 @@ def lowered_lines(circuits):
         yield repr(lowered.registers)
 
 
+def scaling_lines():
+    grid = [(row["n"], row["m"], row["mismatches"])
+            for row in json.loads(SCALING_GRID.read_text()) if row["n"] <= 1024]
+    yield metrics_to_csv(emit_metrics(grid=grid))
+    for n, m in SEARCH_SIZES:
+        inst = generate_instance(n, m, 2, seed=n + m)
+        for k in (5, 9, 17):
+            for dual, fold_y in ((False, False), (True, False), (False, True)):
+                c = build_grover_search(inst, k, dual=dual, fold_y=fold_y)
+                yield json.dumps([circuit.metrics(c), circuit.lowered_metrics(c)])
+
+
 FAMILIES = {
     "verify": verify_lines,
     "metrics": metrics_lines,
@@ -152,6 +170,7 @@ FAMILIES = {
     "builders": builders_lines,
     "search_lowered": lambda: lowered_lines(search_circuits),
     "builders_lowered": lambda: lowered_lines(builder_circuits),
+    "scaling": scaling_lines,
 }
 
 

@@ -18,6 +18,13 @@ write by write (``_lay_rows``) only until each data qubit has been written
 once and around zero-word rows, and every other row in closed form from
 its popcount and its X gates (``_lay_lookup``): O(n + prefix writes + m)
 steps per lookup of n rows and m data qubits, not one per set table bit.
+The walker also lays whole repeats of a gate run as one step. If a lookup
+object recurs, the gates since its last occurrence repeat next, and every
+level that moved since then moved by the same c, then each further repeat
+moves those levels by c again: every level update is a max of levels plus
+a constant, so the walk commutes with a uniform shift. The census counts
+t such repeats as t times the first. A search lays and counts a few of its
+(oracle, diffuser) iterations, not all of them.
 Every unitary kind here is self-inverse, so inversion reverses the gate
 order; a lookup keeps its table and reverses the order its expansion is
 written in (``reverse``).
@@ -26,7 +33,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from itertools import islice
+from operator import sub
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CompositionError, ContractError, InversionError
 
@@ -345,13 +354,49 @@ def _lookup_census(g: Gate) -> list[tuple[tuple[str, int], int]]:
     return [entry for entry in census if entry[1]]
 
 
+def _skip_repeats(walk: Iterator, gates: list[Gate], i: int, pos: int) -> int:
+    """Count the whole copies of ``gates[i:pos]`` that follow from ``pos``
+    and advance ``walk``, an ``enumerate(gates)`` just past ``pos``, to the
+    first gate after them."""
+    p = pos - i
+    run = gates[i:pos]
+    t = 0
+    while gates[pos + t * p:pos + (t + 1) * p] == run:
+        t += 1
+    if t:
+        next(islice(walk, t * p - 1, t * p - 1), None)
+    return t
+
+
 def _census(c: Circuit) -> dict[tuple[str, int], int]:
     """Gates per (kind, control count) in first-appearance order, a lookup
-    counted as its expansion."""
+    counted as its expansion.
+
+    When a lookup object recurs and the gates since its last occurrence
+    repeat whole t times from there, as a search repeats its iteration,
+    those repeats add t times what the gates since then added. A reverse
+    lookup shares its forward one's table, so each (table, ``reverse``) is
+    expanded once.
+    """
+    gates = c.gates
     census: dict[tuple[str, int], int] = {}
-    for g in c.gates:
+    tables: dict[tuple[int, bool], list] = {}  # (id of a table, reverse) -> its census
+    marks: dict[int, tuple[int, dict]] = {}  # id of a lookup -> (position, census there)
+    walk = enumerate(gates)
+    for pos, g in walk:
         if g.kind == LOOKUP:
-            for key, num in _lookup_census(g):
+            mark = marks.get(id(g))
+            t = mark is not None and _skip_repeats(walk, gates, mark[0], pos)
+            if t:
+                before = mark[1]
+                for key, num in census.items():
+                    census[key] = num + t * (num - before.get(key, 0))
+                continue
+            marks[id(g)] = (pos, census.copy())
+            table = (id(g.table), g.reverse)
+            if table not in tables:
+                tables[table] = _lookup_census(g)
+            for key, num in tables[table]:
                 census[key] = census.get(key, 0) + num
         else:
             key = (g.kind, len(g.controls))
@@ -383,10 +428,9 @@ def _close_row(level: list[int], controls: tuple[int, ...], layer: int,
 
 
 def _lay_rows(level: list[int], controls: tuple[int, ...], targets: tuple[int, ...],
-              rows: Sequence, anc0: int | None) -> int:
+              rows: Sequence, anc0: int | None) -> None:
     """Lay rows of X gates controlled by ``controls`` onto a ``_depth``
-    level table, write by write; returns the deepest layer on ``controls``
-    and ``targets``.
+    level table, write by write.
 
     A row is (flips, writes), as ``_row`` gives them: an X on each flipped
     control before and after the row, and one controlled X onto each
@@ -423,13 +467,12 @@ def _lay_rows(level: list[int], controls: tuple[int, ...], targets: tuple[int, .
             _close_row(level, controls, layer, anc0)
         for q in flips:
             level[q] += 1
-    return max([level[q] for q in controls + targets])
 
 
-def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> int:
+def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> None:
     """Lay a lookup's expansion onto a ``_depth`` level table, as
-    ``_lay_rows`` would lay all its rows; returns the deepest layer on its
-    qubits. Per-write work is done only where a write can be late.
+    ``_lay_rows`` would lay all its rows. Per-write work is done only where
+    a write can be late.
 
     Every row uses all address qubits, so a row starts after the previous
     row ends on them, and a data qubit written before in this lookup sits
@@ -514,7 +557,6 @@ def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> int:
             done |= word
             if done == cover:
                 break
-    return max([level[q] for q in controls + targets])
 
 
 def _depth(c: Circuit, anc0: int | None) -> int:
@@ -526,24 +568,48 @@ def _depth(c: Circuit, anc0: int | None) -> int:
     flips, so k >= 3 controls lay a v-chain, and an mcz is that row with
     one layer (an h) on its target before and after it. Every other gate
     is one layer after the deepest earlier gate sharing any of its qubits;
-    measurement counts as a gate.
+    measurement counts as a gate. Levels never fall, so the depth is the
+    deepest level at the end.
+
+    Whole repeats of a gate run are one step. At each lookup the walker
+    keeps its position and a copy of the level table. Say the same lookup
+    object recurs p gates later, the next p gates repeat the p before, and
+    every level that moved over those p gates moved by the same c. Then
+    each further repeat moves the same levels by c again: every level
+    update is a max of levels plus a constant, so laying a run commutes
+    with a uniform shift of the levels it reads, and every qubit a run
+    touches rises while the others keep their level, so the levels that
+    moved are exactly the run's. The t whole repeats that follow are laid
+    as +t·c on those levels. A search's (oracle, diffuser) step settles
+    into such a shift within two or three iterations, so a walk lays its
+    lookups a fixed number of times whatever the iteration count.
     """
+    gates = c.gates
     n = c.num_qubits
     level = [0] * (n if anc0 is None else n + max(n - 3, 0))  # k <= n - 1 controls
-    best = 0
-    for g in c.gates:
+    marks: dict[int, tuple[int, list[int]]] = {}  # id of a lookup -> (position, levels there)
+    walk = enumerate(gates)
+    for pos, g in walk:
         kind = g.kind
         if kind == LOOKUP:
-            layer = _lay_lookup(level, g, anc0)
+            mark = marks.get(id(g))
+            if mark is not None:
+                i, before = mark
+                shift = set(map(sub, level, before))
+                shift.discard(0)
+                t = len(shift) == 1 and _skip_repeats(walk, gates, i, pos)
+                if t:
+                    lift = t * shift.pop()
+                    level = [v + lift if v != b else v for v, b in zip(level, before)]
+                    continue
+            marks[id(g)] = (pos, level.copy())
+            _lay_lookup(level, g, anc0)
         elif anc0 is not None and (kind == MCX or kind == MCZ):
-            t = g.targets[0]
             if kind == MCZ:
-                level[t] += 1
-            layer = _lay_rows(level, g.controls, g.targets, (((), g.targets),), anc0)
+                level[g.targets[0]] += 1
+            _lay_rows(level, g.controls, g.targets, (((), g.targets),), anc0)
             if kind == MCZ:
-                level[t] += 1
-                if level[t] > layer:
-                    layer = level[t]
+                level[g.targets[0]] += 1
         else:
             qubits = g.controls + g.targets
             layer = 0
@@ -553,9 +619,7 @@ def _depth(c: Circuit, anc0: int | None) -> int:
             layer += 1
             for q in qubits:
                 level[q] = layer
-        if layer > best:
-            best = layer
-    return best
+    return max(level, default=0)
 
 
 def depth(c: Circuit) -> int:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvmp import circuit as circuit_module
 from qvmp.circuit import (
     CCX,
     CX,
@@ -435,13 +436,13 @@ class TestLower:
 
 
 @st.composite
-def lowering_circuits(draw, measure=True):
+def lowering_circuits(draw, measure=True, qubits=st.integers(1, 9)):
     """Circuits over the whole gate set, shaped like the builders' output:
     runs of one to four mcx on one control set (targets may repeat), mcz
     on one to five controls, lookups on one to four address qubits (either
     written order), and terminal measurements; about half are basis-only
-    and need no ancilla."""
-    n = draw(st.integers(1, 9))
+    and need no ancilla. ``qubits`` draws the width."""
+    n = draw(qubits)
     shapes = [X, H, Z] + [CX] * (n >= 2) + [CCX] * (n >= 3)
     if draw(st.booleans()):
         shapes += [MCZ, LOOKUP] * (n >= 2) + ["run"] * (n >= 4)
@@ -518,6 +519,66 @@ def lifted_lookups(draw):
     return c
 
 
+@st.composite
+def small_gates(draw, n):
+    """An x, h, z or cx on ``n`` qubits, or a ladder of one to four
+    appends of one x object, which lifts its qubit by that many layers."""
+    q, r = draw(st.permutations(range(n)))[:2]
+    shape = draw(st.sampled_from([X, H, Z, CX, "ladder"]))
+    if shape == CX:
+        return [Gate(CX, (q,), (r,))]
+    if shape == "ladder":
+        return [Gate(X, (), (q,))] * draw(st.integers(1, 4))
+    return [Gate(shape, (), (q,))]
+
+
+@st.composite
+def repeated_runs(draw):
+    """A run of one to eight gate objects appended one to eight times as
+    the same objects, as a search repeats its iteration's gates, after a
+    ``lowering_circuits`` prefix and before a suffix that ends in
+    measurements. The run holds a lookup object and an mcx or mcz on three
+    or more controls, so lowered it lays a v-chain. Ladders of x lift some
+    qubits in the prefix and in the run, so the run lifts qubits unevenly
+    and its shift may settle only after a few repeats, or never. Variants:
+    one gate of the last repeat differs, or the lookup recurs in another
+    run between two stretches of repeats."""
+    prefix = draw(lowering_circuits(measure=False, qubits=st.integers(5, 9)))
+    n = prefix.num_qubits
+    c = Circuit(prefix.registers, n)
+    c.extend(prefix)
+    for _ in range(draw(st.integers(0, 3))):
+        for g in [Gate(X, (), (draw(st.integers(0, n - 1)),))] * draw(st.integers(1, 40)):
+            c.append(g)
+    lookup = draw(lookup_gates(draw(st.permutations(range(n)))))
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(3, n - 1))
+    wide = Gate(draw(st.sampled_from([MCX, MCZ])), tuple(order[:k]), (order[k],))
+    run = [lookup, wide]
+    while len(run) < 8 and draw(st.booleans()):
+        run += draw(small_gates(n))
+    run = draw(st.permutations(run[:8]))
+    gates = run * draw(st.integers(1, 8))
+    variant = draw(st.sampled_from(["repeats", "last differs", "recurs between"]))
+    if variant == "last differs":
+        i = len(gates) - len(run) + draw(st.integers(0, len(run) - 1))
+        gates[i] = draw(st.sampled_from([Gate(H, (), (0,)), Gate(Z, (), (0,))])
+                        .filter(lambda g: g != gates[i]))
+    elif variant == "recurs between":
+        between = [lookup]
+        for _ in range(draw(st.integers(1, 3))):
+            between += draw(small_gates(n))
+        gates += draw(st.permutations(between)) + run * draw(st.integers(1, 8))
+    for g in gates:
+        c.append(g)
+    for _ in range(draw(st.integers(0, 3))):
+        for g in draw(small_gates(n)):
+            c.append(g)
+    for q in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+        c.measure(q, q)
+    return c
+
+
 def expanded(c):
     """``c`` with every lookup replaced by its expansion."""
     out = Circuit(c.registers, c.classical_bits)
@@ -552,6 +613,36 @@ class TestLoweredMetrics:
         # the closed-form rows of the walker against the laid expansion
         assert_lowered_metrics_exact(c)
         assert metrics(c)["depth"] == layered_depth(expanded(c).gates)
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_runs())
+    def test_repeated_runs(self, c):
+        # the skip of whole repeats in the walker and the census, against
+        # the expansion and the lowering, which have no lookup to skip at
+        assert_lowered_metrics_exact(c)
+        flat = expanded(c)
+        assert metrics(c) == metrics(flat)
+        assert list(gate_counts(c)) == list(gate_counts(flat))
+        assert metrics(c)["depth"] == layered_depth(flat.gates)
+
+    def test_lookup_lays_do_not_grow_with_iterations(self, monkeypatch):
+        lay = circuit_module._lay_lookup
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            lay(*args)
+
+        monkeypatch.setattr(circuit_module, "_lay_lookup", counted)
+        inst = generate_instance(16, 8, 1, seed=3)
+        lays = []
+        for k in (4, 12, 30):
+            calls.clear()
+            c = build_grover_search(inst, k)
+            metrics(c)
+            lowered_metrics(c)
+            lays.append(len(calls))
+        assert lays[0] == lays[1] == lays[2]
 
     def test_empty(self):
         assert lowered_metrics(Circuit((("q", 2),))) == metrics(Circuit((("q", 2),)))
