@@ -24,7 +24,11 @@ byte-identical. The families are
 - ``scaling``: the ``emit_metrics`` CSV of the ``scaling_grid.json`` rows
   with n <= 1024 (up to 25 iterations), and ``metrics`` and
   ``lowered_metrics`` of ``build_grover_search`` at 5, 9 and 17
-  iterations, plain, dual and ``fold_y``, on the ``search`` sizes.
+  iterations, plain, dual and ``fold_y``, on the ``search`` sizes;
+- ``verify_modes``: ``qvmp_verify`` reports in the ``qvmp``, ``dual``,
+  ``explicit`` 0 and ``explicit`` 2 iteration modes, on 4x4, 8x8 and 16x16
+  products (seeds 0-19, flipped and true, 4 trials of 256 shots), with the
+  ``timings`` values dropped as in ``verify``.
 
 The unlowered ``search`` and ``builders`` dumps show a table lookup as one
 ``lookup`` gate since that op was added, so only the lowered families
@@ -66,6 +70,8 @@ HISTOGRAM_CASES = (
     ("dual", 8, 4, (2, 3, 5, 6, 7), 1),
     ("qvmp", 16, 8, 2, 2),
 )
+# (iteration mode, explicit iterations) of the verify_modes reports
+VERIFY_MODES = (("qvmp", None), ("dual", None), ("explicit", 0), ("explicit", 2))
 SEARCH_SIZES = ((4, 4), (8, 8), (16, 16), (32, 6), (64, 8))
 SCALING_GRID = Path(__file__).with_name("scaling_grid.json")
 
@@ -82,15 +88,31 @@ def flipped_product(n: int, seed: int):
     return a, b, c, BitMatrix(n, n, tuple(words))
 
 
+def report_line(a, b, c, cfg) -> str:
+    report = qvmp_verify(a, b, c, cfg)
+    report.timings = {key: None for key in report.timings}
+    return report.to_json()
+
+
 def verify_lines():
     for base, flipped in ((1000, True), (5000, False)):
         for i in range(100):
             a, b, c, bad = flipped_product(16, base + i)
             cfg = ExperimentConfig(n=16, m=16, mismatches=0, shots=1024,
                                    seed=base + i, trials=8)
-            report = qvmp_verify(a, b, bad if flipped else c, cfg)
-            report.timings = {key: None for key in report.timings}
-            yield report.to_json()
+            yield report_line(a, b, bad if flipped else c, cfg)
+
+
+def verify_modes_lines():
+    for mode, explicit in VERIFY_MODES:
+        for n in (4, 8, 16):
+            for seed in range(20):
+                a, b, c, bad = flipped_product(n, seed)
+                cfg = ExperimentConfig(n=n, m=n, mismatches=0, iteration_mode=mode,
+                                       explicit_iterations=explicit, shots=256,
+                                       seed=seed, trials=4)
+                for product in (bad, c):
+                    yield report_line(a, b, product, cfg)
 
 
 def metrics_lines():
@@ -171,6 +193,7 @@ FAMILIES = {
     "search_lowered": lambda: lowered_lines(search_circuits),
     "builders_lowered": lambda: lowered_lines(builder_circuits),
     "scaling": scaling_lines,
+    "verify_modes": verify_modes_lines,
 }
 
 

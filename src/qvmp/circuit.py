@@ -22,8 +22,10 @@ The walker also lays whole repeats of a gate run as one step. If a lookup
 object recurs, the gates since its last occurrence repeat next, and every
 level that moved since then moved by the same c, then each further repeat
 moves those levels by c again: every level update is a max of levels plus
-a constant, so the walk commutes with a uniform shift. The census counts
-t such repeats as t times the first. A search lays and counts a few of its
+a constant, so the walk commutes with a uniform shift. A part of the run
+after the repeats that ends where another lookup of the run kept its
+levels is lifted from that copy the same way. The census counts t such
+repeats as t times the first. A search lays and counts a few of its
 (oracle, diffuser) iterations, not all of them.
 Every unitary kind here is self-inverse, so inversion reverses the gate
 order; a lookup keeps its table and reverses the order its expansion is
@@ -34,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from itertools import islice
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CompositionError, ContractError, InversionError
@@ -354,18 +356,19 @@ def _lookup_census(g: Gate) -> list[tuple[tuple[str, int], int]]:
     return [entry for entry in census if entry[1]]
 
 
-def _skip_repeats(walk: Iterator, gates: list[Gate], i: int, pos: int) -> int:
-    """Count the whole copies of ``gates[i:pos]`` that follow from ``pos``
-    and advance ``walk``, an ``enumerate(gates)`` just past ``pos``, to the
-    first gate after them."""
+def _repeats(gates: list[Gate], i: int, pos: int) -> int:
+    """Count the whole copies of ``gates[i:pos]`` that follow from ``pos``."""
     p = pos - i
     run = gates[i:pos]
     t = 0
     while gates[pos + t * p:pos + (t + 1) * p] == run:
         t += 1
-    if t:
-        next(islice(walk, t * p - 1, t * p - 1), None)
     return t
+
+
+def _advance(walk: Iterator, k: int) -> None:
+    """Drop the next ``k`` items of ``walk``."""
+    next(islice(walk, k, k), None)
 
 
 def _census(c: Circuit) -> dict[tuple[str, int], int]:
@@ -386,8 +389,9 @@ def _census(c: Circuit) -> dict[tuple[str, int], int]:
     for pos, g in walk:
         if g.kind == LOOKUP:
             mark = marks.get(id(g))
-            t = mark is not None and _skip_repeats(walk, gates, mark[0], pos)
+            t = mark is not None and _repeats(gates, mark[0], pos)
             if t:
+                _advance(walk, t * (pos - mark[0]) - 1)
                 before = mark[1]
                 for key, num in census.items():
                     census[key] = num + t * (num - before.get(key, 0))
@@ -580,9 +584,15 @@ def _depth(c: Circuit, anc0: int | None) -> int:
     with a uniform shift of the levels it reads, and every qubit a run
     touches rises while the others keep their level, so the levels that
     moved are exactly the run's. The t whole repeats that follow are laid
-    as +t·c on those levels. A search's (oracle, diffuser) step settles
-    into such a shift within two or three iterations, so a walk lays its
-    lookups a fixed number of times whatever the iteration count.
+    as +t·c on those levels. A run prefix that follows them, up to where
+    another lookup of the run kept its levels (the longest such), is not
+    laid either: laid from the levels at the mark plus (t + 1)·c on the
+    moved ones, it ends at that lookup's copy plus the same lift, since it
+    touches only moved levels. This also holds with no whole repeat
+    (t = 0). A search's (oracle, diffuser) step settles into such a shift
+    by its second reverse lookup, and its last reverse lookup and diffuser
+    end where the second forward lookup kept its levels, so a walk lays
+    three lookups whatever the iteration count, from two iterations on.
     """
     gates = c.gates
     n = c.num_qubits
@@ -597,11 +607,20 @@ def _depth(c: Circuit, anc0: int | None) -> int:
                 i, before = mark
                 shift = set(map(sub, level, before))
                 shift.discard(0)
-                t = len(shift) == 1 and _skip_repeats(walk, gates, i, pos)
-                if t:
-                    lift = t * shift.pop()
-                    level = [v + lift if v != b else v for v, b in zip(level, before)]
-                    continue
+                if len(shift) == 1:
+                    t = _repeats(gates, i, pos)
+                    end = pos + t * (pos - i)
+                    # the longest prefix of the run after the repeats that
+                    # ends where a lookup kept its levels inside the run
+                    s, base = max(((s, lv) for s, lv in marks.values()
+                                   if i < s and gates[end:end + s - i] == gates[i:s]),
+                                  key=itemgetter(0), default=(i, before))
+                    if t or s > i:
+                        lift = (t + 1) * shift.pop()
+                        level = [x + lift if v != b else v
+                                 for x, v, b in zip(base, level, before)]
+                        _advance(walk, end + s - i - pos - 1)
+                        continue
             marks[id(g)] = (pos, level.copy())
             _lay_lookup(level, g, anc0)
         elif anc0 is not None and (kind == MCX or kind == MCZ):

@@ -34,6 +34,14 @@ XOR mask over amplitude indices) instead of moving amplitudes; the other
 gates take the frame into account through control polarities, a
 conjugated Hadamard and, for a lookup, an address read XOR the frame's
 address bits. The frame is resolved once, when the evolution ends.
+
+Measurement is two steps. ``_outcomes`` evolves a circuit that ends in
+measurement and marginalizes onto its measured qubits, once; the
+``_Outcomes`` it returns holds that distribution's inverse-CDF table, and
+its ``sample`` draws a histogram for a shot count and seed from the table
+without evolving again. ``run`` is one ``_outcomes`` and one ``sample``;
+the verification driver samples one ``_Outcomes`` for every trial that
+plans no iterations.
 """
 from __future__ import annotations
 
@@ -422,18 +430,6 @@ def _outcome_keys(values, pairs: list[tuple[int, int]], width: int) -> list[str]
     return keys
 
 
-def _sample(marg: np.ndarray, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw shots from a marginal by one inverse-CDF pass; returns the
-    distinct outcomes and their frequencies. Deterministic per seed."""
-    marg = np.maximum(marg, 0.0)
-    cdf = np.cumsum(marg)
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    draws = np.searchsorted(cdf, rng.random(shots), side="right")
-    draws = np.minimum(draws, marg.size - 1)
-    return np.unique(draws, return_counts=True)
-
-
 def probabilities(circuit: Circuit, qubits=None, *, stats: dict | None = None) -> dict[str, float]:
     """Exact Born probabilities, marginalized onto the named qubits.
 
@@ -456,32 +452,62 @@ def probabilities(circuit: Circuit, qubits=None, *, stats: dict | None = None) -
 
 def run(circuit: Circuit, shots: int, seed: int, *, stats: dict | None = None) -> Histogram:
     """Evolve once, then draw shots from the Born distribution on the
-    measured qubits via a single inverse-CDF pass. Deterministic per seed.
-    ``stats`` is filled as ``_evolve`` describes."""
-    return _run(circuit, shots, seed, stats)[0]
+    measured qubits via a single inverse-CDF pass: ``_outcomes(circuit)``
+    sampled once. Deterministic per seed. ``stats`` is filled as
+    ``_evolve`` describes."""
+    return _outcomes(circuit, stats=stats).sample(shots, seed)
 
 
-def _run(circuit: Circuit, shots: int, seed: int, stats: dict | None = None,
-         with_exact: bool = False) -> tuple[Histogram, dict[str, float] | None]:
-    """``run``; with ``with_exact``, also the exact probability of every
-    outcome of the measured qubits, keyed like the histogram and taken from
-    the same evolution (else None)."""
+class _Outcomes:
+    """The Born distribution of a circuit's measured qubits, from one
+    evolution, sampled as often as needed: the marginal, its inverse-CDF
+    table, and the histogram key of each outcome index drawn so far."""
+
+    def __init__(self, marg: np.ndarray, measured: list[tuple[int, int]], width: int) -> None:
+        self.marg = marg
+        self._measured = measured
+        self._width = width
+        cdf = np.cumsum(np.maximum(marg, 0.0))
+        cdf /= cdf[-1]
+        self._cdf = cdf
+        self._keys: dict[int, str] = {}  # outcome index -> histogram key
+
+    def sample(self, shots: int, seed: int) -> Histogram:
+        """Draw shots by one inverse-CDF pass over the cached table.
+        Deterministic per seed."""
+        if shots < 1:
+            raise ContractError("shots must be >= 1")
+        if seed < 0:
+            raise ContractError("seed must be >= 0")
+        size = self.marg.size
+        draws = np.searchsorted(self._cdf, np.random.default_rng(seed).random(shots),
+                                side="right")
+        freq = np.bincount(np.minimum(draws, size - 1), minlength=size)
+        values = np.flatnonzero(freq).tolist()
+        keys = self._keys
+        missing = [v for v in values if v not in keys]
+        if missing:
+            keys.update(zip(missing, _outcome_keys(missing, self._measured, self._width)))
+        counts: dict[str, int] = {}
+        for v, c in zip(values, freq[values].tolist()):
+            key = keys[v]
+            counts[key] = counts.get(key, 0) + c
+        return Histogram(counts, shots)
+
+    def exact(self) -> dict[str, float]:
+        """Exact probability of every outcome, keyed like the histogram."""
+        exact: dict[str, float] = {}
+        keys = _outcome_keys(range(self.marg.size), self._measured, self._width)
+        for key, p in zip(keys, self.marg.tolist()):
+            exact[key] = exact.get(key, 0.0) + p
+        return exact
+
+
+def _outcomes(circuit: Circuit, *, stats: dict | None = None) -> _Outcomes:
+    """Evolve a circuit that ends in measurement and marginalize onto its
+    measured qubits. ``stats`` is filled as ``_evolve`` describes."""
     measured = circuit.measured_qubits()
     if not measured:
         raise ContractError("run() needs a circuit that ends in measurement")
-    if shots < 1:
-        raise ContractError("shots must be >= 1")
-    if seed < 0:
-        raise ContractError("seed must be >= 0")
     marg = _evolve(circuit, stats=stats).marginal(sorted(q for q, _ in measured))
-    width = circuit.classical_bits
-    values, freq = _sample(marg, shots, seed)
-    counts: dict[str, int] = {}
-    for key, c in zip(_outcome_keys(values.tolist(), measured, width), freq.tolist()):
-        counts[key] = counts.get(key, 0) + c
-    exact = None
-    if with_exact:
-        exact = {}
-        for key, p in zip(_outcome_keys(range(marg.size), measured, width), marg.tolist()):
-            exact[key] = exact.get(key, 0.0) + p
-    return Histogram(counts, shots), exact
+    return _Outcomes(marg, measured, circuit.classical_bits)

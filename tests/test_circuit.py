@@ -537,12 +537,14 @@ def repeated_runs(draw):
     """A run of one to eight gate objects appended one to eight times as
     the same objects, as a search repeats its iteration's gates, after a
     ``lowering_circuits`` prefix and before a suffix that ends in
-    measurements. The run holds a lookup object and an mcx or mcz on three
-    or more controls, so lowered it lays a v-chain. Ladders of x lift some
-    qubits in the prefix and in the run, so the run lifts qubits unevenly
-    and its shift may settle only after a few repeats, or never. Variants:
-    one gate of the last repeat differs, or the lookup recurs in another
-    run between two stretches of repeats."""
+    measurements. The run holds a lookup object, sometimes a second one,
+    and an mcx or mcz on three or more controls, so lowered it lays a
+    v-chain. Ladders of x lift some qubits in the prefix and in the run, so
+    the run lifts qubits unevenly and its shift may settle only after a few
+    repeats, or never. Variants: one gate of the last repeat differs, the
+    lookup recurs in another run between two stretches of repeats, or a
+    part of the run follows the repeats, as a search's last oracle and
+    diffuser follow its whole iterations."""
     prefix = draw(lowering_circuits(measure=False, qubits=st.integers(5, 9)))
     n = prefix.num_qubits
     c = Circuit(prefix.registers, n)
@@ -555,11 +557,13 @@ def repeated_runs(draw):
     k = draw(st.integers(3, n - 1))
     wide = Gate(draw(st.sampled_from([MCX, MCZ])), tuple(order[:k]), (order[k],))
     run = [lookup, wide]
+    if draw(st.booleans()):
+        run.append(draw(lookup_gates(draw(st.permutations(range(n))))))
     while len(run) < 8 and draw(st.booleans()):
         run += draw(small_gates(n))
     run = draw(st.permutations(run[:8]))
     gates = run * draw(st.integers(1, 8))
-    variant = draw(st.sampled_from(["repeats", "last differs", "recurs between"]))
+    variant = draw(st.sampled_from(["repeats", "last differs", "recurs between", "part"]))
     if variant == "last differs":
         i = len(gates) - len(run) + draw(st.integers(0, len(run) - 1))
         gates[i] = draw(st.sampled_from([Gate(H, (), (0,)), Gate(Z, (), (0,))])
@@ -569,6 +573,8 @@ def repeated_runs(draw):
         for _ in range(draw(st.integers(1, 3))):
             between += draw(small_gates(n))
         gates += draw(st.permutations(between)) + run * draw(st.integers(1, 8))
+    elif variant == "part":
+        gates += run[:draw(st.integers(1, len(run) - 1))]
     for g in gates:
         c.append(g)
     for _ in range(draw(st.integers(0, 3))):
@@ -636,13 +642,15 @@ class TestLoweredMetrics:
         monkeypatch.setattr(circuit_module, "_lay_lookup", counted)
         inst = generate_instance(16, 8, 1, seed=3)
         lays = []
-        for k in (4, 12, 30):
-            calls.clear()
+        for k in (3, 4, 12, 30):
             c = build_grover_search(inst, k)
-            metrics(c)
-            lowered_metrics(c)
-            lays.append(len(calls))
-        assert lays[0] == lays[1] == lays[2]
+            for walk in (metrics, lowered_metrics):
+                calls.clear()
+                walk(c)
+                lays.append(len(calls))
+        # the first iteration's two lookups and the second's forward one;
+        # the whole repeats and the last reverse lookup and diffuser are lifted
+        assert lays == [3] * 8
 
     def test_empty(self):
         assert lowered_metrics(Circuit((("q", 2),))) == metrics(Circuit((("q", 2),)))

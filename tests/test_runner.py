@@ -4,6 +4,7 @@ import random
 import pytest
 
 from qvmp.bitlinalg import BitMatrix, format_matrix, matmul, random_matrix
+from qvmp.circuit import dump
 import qvmp.simulator as simulator
 from qvmp.errors import ContractError, DimensionError, ResourceError
 from qvmp.grover import build_grover_search, plan_iterations
@@ -12,6 +13,7 @@ from qvmp.runner import (
     METRICS_FIELDS,
     ExperimentConfig,
     VerdictReport,
+    _candidate_address,
     emit_histogram,
     emit_metrics,
     generate_instance,
@@ -187,6 +189,57 @@ class TestVerify:
         assert report.metrics["circuit"] == circuit.metrics(widest)
         assert report.metrics["lowered"] == circuit.metrics(lower(widest))
         assert list(report.metrics) == ["iterations", "circuit", "lowered", "engine"]
+
+    def test_evolves_the_zero_iteration_search_once(self, monkeypatch):
+        # Every trial that plans no iterations samples one evolution of the
+        # address-only circuit; every other trial evolves its own search.
+        import qvmp.runner as runner
+
+        evolved, planned = [], []
+        evolve, plan = simulator._evolve, runner.plan_iterations
+
+        def recording_plan(*args, **kwargs):
+            result = plan(*args, **kwargs)
+            planned.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(simulator, "_evolve",
+                            lambda *a, **k: evolved.append(1) or evolve(*a, **k))
+        monkeypatch.setattr(runner, "plan_iterations", recording_plan)
+        for seed in range(3):
+            a, b, c, bad, _, _ = flipped_product(16, 1000 + seed)
+            cfg = ExperimentConfig(n=16, m=16, mismatches=0, shots=1024, seed=seed, trials=8)
+            evolved.clear()
+            planned.clear()
+            assert qvmp_verify(a, b, c, cfg).decision == "consistent"
+            assert len(planned) == 32 and set(planned) == {0}
+            assert len(evolved) == 1
+            evolved.clear()
+            planned.clear()
+            assert qvmp_verify(a, b, bad, cfg).decision == "inconsistent"
+            assert 0 in planned
+            assert len(evolved) == 1 + sum(k > 0 for k in planned)
+
+    def test_zero_iteration_search_does_not_depend_on_the_instance(self):
+        # what lets qvmp_verify reuse one evolution for all such trials
+        for n in (4, 16, 64):
+            dumps = {dump(build_grover_search(generate_instance(n, m, mismatches, seed), 0,
+                                              dual=dual, fold_y=True))
+                     for m in (1, 5, n) for mismatches in (0, 1, 3)
+                     for seed in range(3) for dual in (False, True)}
+            assert len(dumps) == 1
+
+    def test_candidate_address_ties(self):
+        tied = Histogram({"01": 5, "10": 5, "11": 2}, 12)
+        assert _candidate_address(tied, 4, dual=False) == 1
+        # dual: the rarest address, counting those never drawn
+        assert _candidate_address(tied, 4, dual=True) == 0
+        unseen = Histogram({"000": 3, "001": 1, "011": 1, "111": 4}, 9)
+        assert _candidate_address(unseen, 8, dual=True) == 2
+        assert _candidate_address(unseen, 8, dual=False) == 7
+        rare = Histogram({"00": 2, "01": 1, "10": 1, "11": 3}, 7)
+        assert _candidate_address(rare, 4, dual=True) == 1
+        assert _candidate_address(rare, 4, dual=False) == 3
 
     def test_single_flip_n32(self):
         # The 38-qubit compact circuit stays sparse, far above the dense cap.

@@ -14,6 +14,8 @@ from qvmp.simulator import (
     SPARSE_MAX_QUBITS,
     Histogram,
     _evolve,
+    _Outcomes,
+    _outcomes,
     probabilities,
     run,
     statevector,
@@ -423,6 +425,50 @@ class TestRun:
         c.measure(0, 0)
         with pytest.raises(ContractError, match="seed"):
             run(c, 10, seed=-1)
+
+
+@st.composite
+def marginals(draw):
+    """Marginals of 1 to 64 outcomes with zeros and rounding-size negative
+    entries, and at least one positive entry."""
+    entry = st.one_of(st.just(0.0), st.floats(-1e-15, 0.0), st.floats(1e-12, 1.0))
+    marg = draw(st.lists(entry, min_size=1, max_size=64))
+    marg[draw(st.integers(0, len(marg) - 1))] = draw(st.floats(1e-6, 1.0))
+    return np.array(marg)
+
+
+class TestOutcomes:
+    @settings(max_examples=300, deadline=None)
+    @given(marginals(), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    def test_sample_matches_inverse_cdf_reference(self, marg, shots, seed):
+        size = marg.size
+        width = max(1, (size - 1).bit_length())
+        outcomes = _Outcomes(marg, [(q, q) for q in range(width)], width)
+        hist = outcomes.sample(shots, seed)
+        cdf = np.cumsum(np.maximum(marg, 0.0))
+        cdf /= cdf[-1]
+        draws = np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right")
+        values, counts = np.unique(np.minimum(draws, size - 1), return_counts=True)
+        assert [int(key, 2) for key in hist.counts] == values.tolist()
+        assert list(hist.counts.values()) == counts.tolist()
+        assert hist.shots == shots
+        # a second draw from the same table is the same histogram
+        assert outcomes.sample(shots, seed) == hist
+
+    def test_one_evolution_many_samples(self, monkeypatch):
+        import qvmp.simulator as simulator
+
+        c = bell_circuit(classical=2)
+        c.measure(0, 1)
+        c.measure(1, 0)
+        calls = []
+        evolve = simulator._evolve
+        monkeypatch.setattr(simulator, "_evolve", lambda *a, **k: calls.append(1) or evolve(*a, **k))
+        outcomes = _outcomes(c)
+        hists = [outcomes.sample(300, seed) for seed in range(5)]
+        assert len(calls) == 1
+        assert hists == [run(c, 300, seed) for seed in range(5)]
+        assert outcomes.exact() == pytest.approx({"00": 0.5, "01": 0.0, "10": 0.0, "11": 0.5})
 
 
 class TestHistogramFormats:
