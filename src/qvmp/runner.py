@@ -26,9 +26,9 @@ from .bitlinalg import (
     random_matrix,
     random_vector,
 )
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, FormatError
 from .grover import QvmpInstance, build_grover_search, plan_iterations
-from .simulator import Histogram, _outcomes
+from .simulator import Histogram, _check_keys, _outcomes
 
 __all__ = [
     "ExperimentConfig",
@@ -158,10 +158,12 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
     first such trial, and every later one samples that evolution with its
     own shot seed, so it adds no build time to ``timings["build"]`` and
     only its sampling to ``timings["simulate"]``. ``metrics`` describes
-    the widest trial (most iterations), including its engine stats under
-    ``engine``; its lowered metrics are computed once, when the verdict is
-    reached, by ``circuit.lowered_metrics`` without building the lowered
-    circuit, and ``timings["lower"]`` times that call.
+    the widest trial (most iterations), including under ``engine`` the
+    simulator's stats for it: the engine, always "sparse", the peak
+    support and the pruned mass. Its lowered metrics are computed once,
+    when the verdict is reached, by ``circuit.lowered_metrics`` without
+    building the lowered circuit, and ``timings["lower"]`` times that
+    call.
     """
     n = a.rows
     for mat in (a, b, c):
@@ -315,9 +317,20 @@ def histogram_from_csv(text: str) -> dict:
     counts: dict[str, int] = {}
     probs: dict[str, float] = {}
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "bitstring,count,probability":
+        raise FormatError("histogram CSV must start with its bitstring,count,probability header")
     for line in lines[1:]:
-        key, count, prob = line.split(",")
-        if int(count):
-            counts[key] = int(count)
-        probs[key] = float(prob)
+        try:
+            key, count, prob = line.split(",")
+            hits, p = int(count), float(prob)
+        except ValueError as e:
+            raise FormatError(f"bad histogram line {line!r}") from e
+        if hits < 0:
+            raise FormatError(f"negative count in histogram line {line!r}")
+        if key in probs:
+            raise FormatError(f"duplicate histogram key {key!r}")
+        if hits:
+            counts[key] = hits
+        probs[key] = p
+    _check_keys(probs)
     return {"counts": counts, "probabilities": probs}

@@ -1,39 +1,36 @@
-"""Statevector execution engine: a sparse state that hands off to dense.
+"""Statevector execution engine on a sparse state.
 
 Amplitude index convention: bit q of the index is the value of global
 qubit q, so |q2 q1 q0> = |110> sits at index 6. Histogram keys follow the
 same rule on classical bits: bit 0 is the rightmost character.
 
-Every evolution starts on a sparse state: an int64 array of basis indices
-and a float64 array of their amplitudes (the gate set is real). On it a
-controlled-X gate is one masked index XOR, a table lookup gathers each
-index's address bits and XORs in that row's word, spread onto the data
-qubits (one array of those masks per lookup gate and evolution), Z and MCZ
-flip the sign of the matching entries, and H builds both branches, merges
-equal indices by summing them and prunes amplitudes that cancelled.
-Between diffusers every ancilla of a search circuit is a function of the
-address, so its support never exceeds the n addresses whatever the
-register width. A run that stays sparse accepts up to
-``SPARSE_MAX_QUBITS`` (62) qubits, the width of an int64 index.
+Every evolution runs on a sparse state: an int64 array of the basis
+indices with nonzero amplitude and a float64 array of their amplitudes
+(the gate set is real). On it a controlled-X gate is one masked index XOR,
+a table lookup gathers each index's address bits and XORs in that row's
+word, spread onto the data qubits (one array of those masks per lookup
+gate and evolution), Z and MCZ flip the sign of the matching entries, and
+H is a merge of sorted pairs: each entry finds its partner (its index
+with the qubit's bit flipped) by binary search in the sorted indices, both
+members of a present pair are rewritten in place, an entry is appended for
+each missing partner, and amplitudes that cancelled are pruned. Between
+diffusers every ancilla of a search circuit is a function of the address,
+so its support never exceeds the n addresses whatever the register width.
+A run accepts up to ``SPARSE_MAX_QUBITS`` (62) qubits, the width of an
+int64 index.
 
-Once an H leaves more than 2^n / ``_DENSE_FRACTION`` amplitudes, the
-sparse state is scattered into a dense complex128 array of 2^n amplitudes
-and the remaining gates run on it, from that gate on. Dense gates are NumPy
-slices of its (2,)*n view: a gate touches only the stratum its controls
-select, so work scales with the amplitudes it changes; a lookup is one
-such multi-target X per row with a nonzero word. The qubit cap
-(``QVMP_SIM_MAX_QUBITS``, a nonnegative integer, default 26, or
-``statevector``'s ``max_qubits``) bounds the amplitudes held in either
-shape: a dense handoff, a ``statevector`` result or an outcome marginal
-wider than the cap raises ResourceError, and so does a sparse state of
-more than 2^cap entries, since a circuit wider than the cap cannot hand
-off.
+The qubit cap (``QVMP_SIM_MAX_QUBITS``, a nonnegative integer, default 26,
+or ``statevector``'s ``max_qubits``) bounds the amplitudes held: an H that
+leaves more than 2^cap entries (16 bytes each, as a dense complex128
+amplitude is), a ``statevector`` result or an outcome marginal wider than
+the cap raises ResourceError. At full support an H holds about twice the
+state's bytes at its peak.
 
-Bare X gates are tracked in both shapes as an index-relabelling frame (an
-XOR mask over amplitude indices) instead of moving amplitudes; the other
-gates take the frame into account through control polarities, a
-conjugated Hadamard and, for a lookup, an address read XOR the frame's
-address bits. The frame is resolved once, when the evolution ends.
+Bare X gates are tracked as an index-relabelling frame (an XOR mask over
+amplitude indices) instead of moving amplitudes; the other gates take the
+frame into account through control polarities, a conjugated Hadamard and,
+for a lookup, an address read XOR the frame's address bits. The frame is
+resolved once, when the evolution ends.
 
 Measurement is two steps. ``_outcomes`` evolves a circuit that ends in
 measurement and marginalizes onto its measured qubits, once; the
@@ -71,12 +68,6 @@ __all__ = [
 DEFAULT_MAX_QUBITS = 26
 # Indices are int64; 62 qubits keep every index and index | bit positive.
 SPARSE_MAX_QUBITS = 62
-# Hand off to the dense state once support exceeds 2^n / _DENSE_FRACTION.
-# benchmarks/bench_handoff.py puts the per-gate crossover against the dense
-# gates at 2^n/8 for H (which sorts and bincounts its entries) and 2^n/4
-# for controlled-X and phase gates on 14-20 qubits; handing off at 2^n/8
-# evolves its growing-support circuits fastest or within noise of it.
-_DENSE_FRACTION = 8
 # Merged amplitudes at or below this magnitude are rounding residue of a
 # cancellation and are dropped; their squared sum is the pruned mass.
 _PRUNE_AMPLITUDE = 1e-13
@@ -84,7 +75,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def backend_name() -> str:
-    """Name of the dense gate implementation; there is one, in NumPy."""
+    """Name of the simulator implementation, recorded with benchmark runs:
+    the sparse engine, in NumPy."""
     return "python"
 
 
@@ -106,6 +98,8 @@ class Statevector:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     def probability(self, index: int) -> float:
+        if not 0 <= index < self.amplitudes.size:
+            raise ContractError(f"basis index {index} outside 0..{self.amplitudes.size - 1}")
         return float(np.abs(self.amplitudes[index]) ** 2)
 
     def __len__(self) -> int:
@@ -118,7 +112,7 @@ class Histogram:
     shots: int
 
     def __post_init__(self) -> None:
-        if any(not isinstance(v, int) or v < 0 for v in self.counts.values()):
+        if any(type(v) is not int or v < 0 for v in self.counts.values()):
             raise FormatError("histogram counts must be nonnegative integers")
         if sum(self.counts.values()) != self.shots:
             raise FormatError("histogram counts do not sum to shots")
@@ -137,9 +131,13 @@ class Histogram:
                 continue
             try:
                 key, val = line.split(",")
-                counts[key] = int(val)
+                count = int(val)
             except ValueError as e:
                 raise FormatError(f"bad histogram line {line!r}") from e
+            if key in counts:
+                raise FormatError(f"duplicate histogram key {key!r}")
+            counts[key] = count
+        _check_keys(counts)
         return cls(counts, sum(counts.values()))
 
     def to_json(self) -> str:
@@ -149,23 +147,27 @@ class Histogram:
     def from_json(cls, text: str) -> Histogram:
         try:
             obj = json.loads(text)
-            counts, shots = dict(obj["counts"]), int(obj["shots"])
+            counts, shots = obj["counts"], obj["shots"]
         except (ValueError, KeyError, TypeError) as e:
             raise FormatError(f"bad histogram JSON: {e!r}") from e
+        if not isinstance(counts, dict) or type(shots) is not int:
+            raise FormatError("histogram JSON needs a counts object and an integer shots")
+        _check_keys(counts)
         return cls(counts, shots)
 
 
-def _scatter(n: int, index: np.ndarray, amp: np.ndarray, cap: int) -> np.ndarray:
-    """Dense complex128 array holding a sparse state; bounded by the cap."""
-    if n > cap:
-        raise ResourceError(f"dense state of {n} qubits exceeds the cap of {cap}")
+def _check_keys(keys) -> None:
+    """Reject histogram keys read from a file unless they are bitstrings
+    of one width."""
+    if len({len(k) for k in keys}) > 1 or any(not k or k.strip("01") for k in keys):
+        raise FormatError("histogram keys must be bitstrings of one width")
+
+
+def _scatter(n: int, index: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Dense complex128 array of 2^n amplitudes holding a sparse state."""
     dense = np.zeros(1 << n, dtype=np.complex128)
     dense[index] = amp
     return dense
-
-
-def _bit_positions(mask: int) -> list[int]:
-    return [q for q in range(mask.bit_length()) if (mask >> q) & 1]
 
 
 def _spread(value: int, qubits) -> int:
@@ -185,89 +187,60 @@ def _gather(index, qubits):
     return out
 
 
-def _stratum(n: int, mask: int, val: int) -> list:
-    """Index into the (2,)*n view of a dense state selecting the amplitudes
-    whose masked index bits equal ``val``; qubit q lives on axis n-1-q."""
-    idx = [slice(None)] * n
-    for q in _bit_positions(mask):
-        idx[n - 1 - q] = (val >> q) & 1
-    return idx
-
-
-def _apply_h(state: np.ndarray, qubit: int, swapped: bool) -> None:
-    """Hadamard on one qubit of a dense state; ``swapped`` exchanges the
-    basis roles (the X-conjugated form used under a flipped frame bit)."""
-    n = state.size.bit_length() - 1
-    view = state.reshape((2,) * n)
-    i0 = tuple(_stratum(n, 1 << qubit, 0))
-    i1 = tuple(_stratum(n, 1 << qubit, 1 << qubit))
-    a = view[i0]
-    b = view[i1]
-    s = (a + b) * _INV_SQRT2
-    d = (a - b) * _INV_SQRT2
-    if swapped:
-        view[i0] = -d
-        view[i1] = s
-    else:
-        view[i0] = s
-        view[i1] = d
-
-
-def _apply_mcx(state: np.ndarray, target_mask: int, ctrl_mask: int, ctrl_val: int) -> None:
-    """NOT on every bit of the nonzero ``target_mask`` of a dense state,
-    within the stratum where the masked index bits equal ``ctrl_val``.
-
-    The joint action pairs index s with s ^ target_mask; the lowest target
-    bit anchors the pairing and the remaining target axes are reversed.
-    """
-    n = state.size.bit_length() - 1
-    view = state.reshape((2,) * n)
-    anchor, *rest = _bit_positions(target_mask)
-    idx0 = _stratum(n, ctrl_mask, ctrl_val)
-    idx1 = list(idx0)
-    a_ax = n - 1 - anchor
-    idx0[a_ax], idx1[a_ax] = 0, 1
-    i0, i1 = tuple(idx0), tuple(idx1)
-    tmp = view[i0].copy()
-    if rest:
-        kept = [ax for ax in range(n) if isinstance(idx0[ax], slice)]
-        flip = tuple(kept.index(n - 1 - q) for q in rest)
-        view[i0] = np.flip(view[i1], axis=flip)
-        view[i1] = np.flip(tmp, axis=flip)
-    else:
-        view[i0] = view[i1]
-        view[i1] = tmp
-
-
-def _apply_phase(state: np.ndarray, mask: int, val: int) -> None:
-    """Negate the amplitudes of a dense state whose masked index bits
-    equal ``val``."""
-    n = state.size.bit_length() - 1
-    state.reshape((2,) * n)[tuple(_stratum(n, mask, val))] *= -1.0
-
-
-def _marginal(probs: np.ndarray, n: int, qubits: list[int]) -> np.ndarray:
-    """Marginal of a dense distribution over the given qubits; result
-    index bit r is the qubit at ascending rank r of the sorted list."""
-    drop = tuple(n - 1 - q for q in range(n) if q not in set(qubits))
-    reduced = probs.reshape((2,) * n).sum(axis=drop) if drop else probs.reshape((2,) * n)
-    return reduced.reshape(-1)
-
-
 @dataclass
 class _State:
-    """A true-indexed state in one of two shapes: sparse (``index`` and
-    real ``amp`` arrays) or dense (``dense``, complex128 over 2^n)."""
+    """A true-indexed sparse state: distinct basis indices (int64) and
+    their real amplitudes. ``h`` rebinds both arrays."""
 
     num_qubits: int
-    index: np.ndarray | None = None
-    amp: np.ndarray | None = None
-    dense: np.ndarray | None = None
+    index: np.ndarray
+    amp: np.ndarray
 
-    def to_dense(self, cap: int) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
-        return _scatter(self.num_qubits, self.index, self.amp, cap)
+    def h(self, qubit: int, swapped: bool) -> np.ndarray:
+        """Hadamard on one qubit, as a merge of sorted pairs; ``swapped``
+        exchanges the basis roles (the X-conjugated form used under a
+        flipped frame bit). Returns the pruned amplitudes.
+
+        Each new amplitude is (+-p*r) + (+-a*r), r = 1/sqrt(2), for the
+        amplitudes p and a of the pair's bit-0 and bit-1 members, and a
+        missing partner's new entry is the present member's a*r (or p*r),
+        so every value is rounded as a sum over both branches. Arrays are
+        rebound as soon as they are replaced, so that the old ones are
+        freed: at full support the peak stays near twice the state."""
+        bit = 1 << qubit
+        if not np.all(self.index[:-1] < self.index[1:]):
+            order = np.argsort(self.index)
+            self.index = self.index[order]
+            self.amp = self.amp[order]
+            del order
+        index, amp = self.index, self.amp
+        # position of each entry's partner, valid where the partner is present
+        pos = np.searchsorted(index, index ^ bit)
+        np.minimum(pos, index.size - 1, out=pos)
+        found = index[pos]
+        found ^= index
+        missing = found != bit
+        del found
+        amp *= _INV_SQRT2
+        partner = amp[pos]
+        del pos
+        partner[missing] = 0.0
+        extra_index = index[missing] ^ bit
+        extra_amp = amp[missing]
+        del missing
+        np.negative(amp, out=amp, where=(index & bit) == (0 if swapped else bit))
+        amp += partner
+        del partner
+        if extra_index.size:
+            index = np.concatenate((index, extra_index))
+            amp = np.concatenate((amp, extra_amp))
+            del extra_index, extra_amp
+        keep = np.abs(amp) > _PRUNE_AMPLITUDE
+        dropped = amp[~keep]
+        if dropped.size:
+            index, amp = index[keep], amp[keep]
+        self.index, self.amp = index, amp
+        return dropped
 
     def marginal(self, ordered: list[int]) -> np.ndarray:
         """Born probabilities over the ascending qubit list ``ordered``;
@@ -276,29 +249,10 @@ class _State:
         cap = qubit_cap()
         if k > cap:
             raise ResourceError(f"marginal over {k} qubits exceeds the cap of {cap}")
-        if self.dense is not None:
-            return _marginal(np.abs(self.dense) ** 2, self.num_qubits, ordered)
         outcome = np.zeros(self.index.size, dtype=np.int64)
         for r, q in enumerate(ordered):
             outcome |= ((self.index >> q) & 1) << r
         return np.bincount(outcome, weights=self.amp * self.amp, minlength=1 << k)
-
-
-def _sparse_h(index: np.ndarray, amp: np.ndarray, qubit: int, swapped: bool):
-    """Hadamard on a sparse state: both branches of every entry, merged by
-    index and pruned. ``swapped`` is the X-conjugated form used under a
-    flipped frame bit, as in the dense kernel. Returns the new arrays and
-    the dropped entries' amplitudes."""
-    bit = 1 << qubit
-    scaled = amp * _INV_SQRT2
-    signed = np.where((index & bit) == (0 if swapped else bit), -scaled, scaled)
-    lo, hi = (signed, scaled) if swapped else (scaled, signed)
-    keys, pair = np.unique(index & ~bit, return_inverse=True)
-    merged_index = np.concatenate((keys, keys | bit))
-    merged_amp = np.concatenate((np.bincount(pair, weights=lo, minlength=keys.size),
-                                 np.bincount(pair, weights=hi, minlength=keys.size)))
-    keep = np.abs(merged_amp) > _PRUNE_AMPLITUDE
-    return merged_index[keep], merged_amp[keep], merged_amp[~keep]
 
 
 def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None,
@@ -306,10 +260,10 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
     """Run all unitary gates on a basis state, or on ``start`` when it is
     an evolved state of the same width (which is then consumed).
 
-    ``cap`` bounds a dense handoff (default ``qubit_cap()``). ``stats``,
-    when given, receives ``engine`` ("sparse", or "dense" once handed
-    off), ``peak_support`` (most amplitudes held; 2^n when dense) and
-    ``pruned_mass`` (squared amplitudes dropped by pruning).
+    ``cap`` bounds the support (default ``qubit_cap()``): an H that leaves
+    more than 2^cap entries raises ResourceError. ``stats``, when given,
+    receives ``engine`` ("sparse"), ``peak_support`` (most entries held)
+    and ``pruned_mass`` (squared amplitudes dropped by pruning).
     """
     n = circuit.num_qubits
     if n > SPARSE_MAX_QUBITS:
@@ -320,18 +274,14 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
     if isinstance(start, _State):
         if start.num_qubits != n:
             raise ContractError(f"start state has {start.num_qubits} qubits, circuit {n}")
-        index, amp, dense = start.index, start.amp, start.dense
+        state = start
     else:
         if not 0 <= start < (1 << n):
             raise ContractError(f"initial basis index {start} out of range")
-        index = np.array([start], dtype=np.int64)
-        amp = np.ones(1)
-        dense = None
-    # A sparse entry (index + amplitude) is 16 bytes, as is a dense one, so
-    # the cap bounds the support too: past 2^limit a state wider than the
-    # cap needs a handoff that _scatter refuses.
-    dense_at = min((1 << n) // _DENSE_FRACTION, 1 << limit)
-    peak = (1 << n) if dense is not None else index.size
+        state = _State(n, np.array([start], dtype=np.int64), np.ones(1))
+    # No local name holds state.index or state.amp across an H, so the
+    # arrays it replaces are freed.
+    peak = state.index.size
     pruned = 0.0
     frame = 0
     lookups: dict[int, np.ndarray] = {}  # id of a lookup gate -> its data masks
@@ -341,67 +291,42 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
             frame ^= 1 << g.targets[0]
         elif kind == H:
             q = g.targets[0]
-            swapped = bool((frame >> q) & 1)
-            if dense is not None:
-                _apply_h(dense, q, swapped)
-            else:
-                index, amp, dropped = _sparse_h(index, amp, q, swapped)
-                if stats is not None:
-                    pruned += float(dropped @ dropped)
-                    peak = max(peak, index.size)
-                if index.size > dense_at:
-                    dense = _scatter(n, index, amp, limit)
-                    index = amp = None
-                    peak = 1 << n
+            dropped = state.h(q, bool((frame >> q) & 1))
+            size = state.index.size
+            if size > 1 << limit:
+                raise ResourceError(
+                    f"support of {size} amplitudes exceeds the cap of {limit} qubits"
+                )
+            if stats is not None:
+                pruned += float(dropped @ dropped)
+                peak = max(peak, size)
         elif kind in (Z, MCZ):
             mask = 1 << g.targets[0]
             for c in g.controls:
                 mask |= 1 << c
-            if dense is not None:
-                _apply_phase(dense, mask, mask & ~frame)
-            else:
-                amp[(index & mask) == (mask & ~frame)] *= -1.0
+            state.amp[(state.index & mask) == (mask & ~frame)] *= -1.0
         elif kind in (CX, CCX, MCX):
             tmask = 1 << g.targets[0]
             cmask = 0
             for c in g.controls:
                 cmask |= 1 << c
-            if dense is not None:
-                _apply_mcx(dense, tmask, cmask, cmask & ~frame)
-            else:
-                index[(index & cmask) == (cmask & ~frame)] ^= tmask
+            state.index[(state.index & cmask) == (cmask & ~frame)] ^= tmask
         elif kind == LOOKUP:
             masks = lookups.get(id(g))
             if masks is None:
                 masks = lookups[id(g)] = np.array([_spread(w, g.targets) for w in g.table],
                                                   dtype=np.int64)
-            address = g.controls
             # A stored index reads the address XOR the frame's address bits.
-            shift = _gather(frame, address)
-            if dense is not None:
-                amask = sum(1 << q for q in address)
-                for r, mask in enumerate(masks.tolist()):
-                    if mask:
-                        _apply_mcx(dense, mask, amask, _spread(r ^ shift, address))
-            else:
-                index ^= masks[_gather(index, address) ^ shift]
+            state.index ^= masks[_gather(state.index, g.controls) ^ _gather(frame, g.controls)]
         elif kind == MEASURE:
             pass  # terminal; sampling happens on the final state
         else:  # pragma: no cover - KINDS is closed
             raise ContractError(f"cannot simulate {kind}")
     if stats is not None:
-        stats.update(engine="sparse" if dense is None else "dense",
-                     peak_support=int(peak), pruned_mass=pruned)
-    if dense is not None:
-        if frame:
-            # Relabel index s as s ^ frame: reverse the axis of every
-            # flipped qubit, then copy once into a contiguous array.
-            axes = tuple(n - 1 - q for q in _bit_positions(frame))
-            dense = np.flip(dense.reshape((2,) * n), axis=axes).copy().reshape(-1)
-        return _State(n, dense=dense)
+        stats.update(engine="sparse", peak_support=int(peak), pruned_mass=pruned)
     if frame:
-        index ^= frame
-    return _State(n, index=index, amp=amp)
+        state.index ^= frame
+    return state
 
 
 def statevector(circuit: Circuit, initial: int = 0, *, max_qubits: int | None = None) -> Statevector:
@@ -414,7 +339,7 @@ def statevector(circuit: Circuit, initial: int = 0, *, max_qubits: int | None = 
     if n > limit:
         raise ResourceError(f"{n} qubits exceeds the cap of {limit}")
     state = _evolve(circuit, initial, cap=limit)
-    return Statevector(n, state.to_dense(limit))
+    return Statevector(n, _scatter(n, state.index, state.amp))
 
 
 def _outcome_keys(values, pairs: list[tuple[int, int]], width: int) -> list[str]:
@@ -443,6 +368,8 @@ def probabilities(circuit: Circuit, qubits=None, *, stats: dict | None = None) -
         chosen = list(range(circuit.num_qubits))
     else:
         chosen = [circuit._resolve(q) for q in qubits]
+    if not chosen:
+        raise ContractError("empty qubit list for a marginal")
     if len(set(chosen)) != len(chosen):
         raise ContractError("duplicate qubit in marginal")
     marg = _evolve(circuit, stats=stats).marginal(sorted(chosen))

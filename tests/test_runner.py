@@ -6,7 +6,7 @@ import pytest
 from qvmp.bitlinalg import BitMatrix, format_matrix, matmul, random_matrix
 from qvmp.circuit import dump
 import qvmp.simulator as simulator
-from qvmp.errors import ContractError, DimensionError, ResourceError
+from qvmp.errors import ContractError, DimensionError, FormatError, ResourceError
 from qvmp.grover import build_grover_search, plan_iterations
 from qvmp.runner import (
     DEFAULT_METRICS_GRID,
@@ -242,7 +242,7 @@ class TestVerify:
         assert _candidate_address(rare, 4, dual=False) == 3
 
     def test_single_flip_n32(self):
-        # The 38-qubit compact circuit stays sparse, far above the dense cap.
+        # The 38-qubit compact circuit runs, far wider than the qubit cap.
         a, b, _, bad, row, col = flipped_product(32, seed=7)
         cfg = ExperimentConfig(n=32, m=32, mismatches=0, shots=1024, seed=7, trials=8)
         report = qvmp_verify(a, b, bad, cfg)
@@ -376,6 +376,15 @@ class TestHistogramEmission:
         parsed = histogram_from_csv(histogram_to_csv(payload))
         assert parsed["counts"] == payload["counts"]
         assert parsed["probabilities"] == payload["probabilities"]
+
+    @pytest.mark.parametrize("text", ["", "0,3,0.5\n1,1,0.5\n"] + [
+        "bitstring,count,probability\n" + rows + "\n"
+        for rows in ("0,x,0.5", "0,-1,0.5", "0,1,0.5\n0,2,0.5", "x,1,0.5", "0,1,0.5\n10,1,0.5")
+    ], ids=["empty", "no_header", "bad_count", "negative_count", "repeated_key",
+            "not_a_bitstring", "mixed_widths"])
+    def test_bad_csv(self, text):
+        with pytest.raises(FormatError):
+            histogram_from_csv(text)
 
     def test_one_evolution_matches_run(self, monkeypatch):
         inst = generate_instance(8, 4, 2, seed=4)

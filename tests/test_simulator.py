@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from qvmp.simulator import (
     _evolve,
     _Outcomes,
     _outcomes,
+    _scatter,
+    _State,
     probabilities,
     run,
     statevector,
@@ -90,8 +93,41 @@ def gate_lists(draw, num_qubits, max_gates, kinds=GATE_KINDS):
 
 def evolved_amplitudes(circuit, initial):
     stats = {}
-    dense = _evolve(circuit, initial, stats=stats).to_dense(circuit.num_qubits)
-    return dense, stats
+    state = _evolve(circuit, initial, stats=stats)
+    return _scatter(circuit.num_qubits, state.index, state.amp), stats
+
+
+def merged_h(index, amp, qubit, swapped):
+    """Hadamard on a sparse state by merging equal indices with np.unique
+    and bincount: the engine's earlier form, kept as the reference for
+    ``_State.h``'s pair merge. Returns the new arrays and the pruned
+    amplitudes."""
+    bit = 1 << qubit
+    scaled = amp * INV_SQRT2
+    signed = np.where((index & bit) == (0 if swapped else bit), -scaled, scaled)
+    lo, hi = (signed, scaled) if swapped else (scaled, signed)
+    keys, pair = np.unique(index & ~bit, return_inverse=True)
+    merged_index = np.concatenate((keys, keys | bit))
+    merged_amp = np.concatenate((np.bincount(pair, weights=lo, minlength=keys.size),
+                                 np.bincount(pair, weights=hi, minlength=keys.size)))
+    keep = np.abs(merged_amp) > 1e-13
+    return merged_index[keep], merged_amp[keep], merged_amp[~keep]
+
+
+@st.composite
+def sparse_states(draw):
+    """(num_qubits, index, amp) of a random support in random or sorted
+    order. Amplitudes come often from a few values, so that pairs cancel
+    exactly or up to rounding, and partners are often missing."""
+    n = draw(st.integers(1, 8))
+    index = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n,
+                          unique=True))
+    if draw(st.booleans()):
+        index.sort()
+    value = st.one_of(st.sampled_from([0.5, -0.5, 0.5 + 2**-52, -0.25, 0.25 - 2**-54]),
+                      st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-6))
+    amp = draw(st.lists(value, min_size=len(index), max_size=len(index)))
+    return n, np.array(index, dtype=np.int64), np.array(amp)
 
 
 class TestSparseEngine:
@@ -110,8 +146,7 @@ class TestSparseEngine:
     def test_dense_handoff_midway(self, data):
         # Without H the gates before the layer keep the support at one
         # basis state, which an H on every qubit spreads over all 2^n
-        # indices, past the handoff fraction. So the random gates run
-        # sparse before the layer and dense after it.
+        # indices. So the random gates after the layer run at full support.
         n = data.draw(st.integers(4, 8))
         before = data.draw(gate_lists(n, 20, tuple(k for k in GATE_KINDS if k != "h")))
         after = data.draw(gate_lists(n, 20))
@@ -119,20 +154,54 @@ class TestSparseEngine:
                                       for q in range(n)] + after)
         initial = data.draw(st.integers(0, (1 << n) - 1))
         amps, stats = evolved_amplitudes(c, initial)
-        assert stats["engine"] == "dense"
+        assert stats["engine"] == "sparse"
         assert stats["peak_support"] == 1 << n
         assert np.max(np.abs(amps - reference_amplitudes(c, initial))) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_states(), st.data())
+    def test_h_matches_the_merge_reference(self, state, data):
+        """The pair merge gives the reference's entries bit for bit, once
+        both are sorted by index, and prunes the same amplitudes."""
+        n, index, amp = state
+        qubit = data.draw(st.integers(0, n - 1))
+        swapped = data.draw(st.booleans())
+        ref_index, ref_amp, ref_dropped = merged_h(index, amp, qubit, swapped)
+        sparse = _State(n, index.copy(), amp.copy())
+        dropped = sparse.h(qubit, swapped)
+        order = np.argsort(sparse.index)
+        ref_order = np.argsort(ref_index)
+        assert np.array_equal(sparse.index[order], ref_index[ref_order])
+        assert sparse.amp[order].tobytes() == ref_amp[ref_order].tobytes()
+        assert np.array_equal(np.sort(dropped), np.sort(ref_dropped))
+
+    def test_full_support_peak_within_three_states(self):
+        # An H on every qubit of 18, then 60 random gates on all 2^18
+        # entries: the evolution holds at most 3x the 16-byte-per-entry state.
+        n = 18
+        c = Circuit((("q", n),))
+        for q in range(n):
+            c.h(q)
+        c.extend(random_circuit(n, 60, random.Random(0)))
+        stats = {}
+        tracemalloc.start()
+        try:
+            _evolve(c, cap=n, stats=stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats["peak_support"] == 1 << n
+        assert peak <= 3 * 16 * (1 << n)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_lookup_matches_its_expansion(self, data):
-        """A lookup applied as one gather (sparse) or one mcx per row
-        (dense) equals its expansion run gate by gate, under X gates on its
-        address and data qubits. Hadamards on at most n - 3 qubits keep the
-        support within the 2^n/8 handoff; in the dense case the state stays
-        a basis state until an H on every qubit hands it off midway."""
+        """A lookup applied as one gather equals its expansion run gate by
+        gate, under X gates on its address and data qubits: on the support
+        of Hadamards on at most n - 3 qubits, or, in the full case, from a
+        basis state through an H on every qubit midway to all 2^n entries."""
         n = data.draw(st.integers(3, 8))
-        dense = data.draw(st.booleans())
+        full = data.draw(st.booleans())
 
         def lookup():
             order = data.draw(st.permutations(range(n)))
@@ -146,18 +215,20 @@ class TestSparseEngine:
         def xs():
             return [("x", [q]) for q in data.draw(st.lists(st.integers(0, n - 1), max_size=n))]
 
-        spread = [] if dense else data.draw(st.lists(st.integers(0, n - 1), unique=True,
+        spread = [] if full else data.draw(st.lists(st.integers(0, n - 1), unique=True,
                                                      max_size=n - 3))
         c = circuit_from(n, xs() + [("h", [q]) for q in spread] + xs())
         c.append(lookup())
-        c.extend(circuit_from(n, xs() + [("h", [q]) for q in range(n) if dense] + xs()))
+        c.extend(circuit_from(n, xs() + [("h", [q]) for q in range(n) if full] + xs()))
         c.append(lookup())
         c.extend(circuit_from(n, xs()))
         flat = Circuit(c.registers)
         flat.gates = _expanded(c.gates)
         initial = data.draw(st.integers(0, (1 << n) - 1))
         amps, stats = evolved_amplitudes(c, initial)
-        assert stats["engine"] == ("dense" if dense else "sparse")
+        assert stats["engine"] == "sparse"
+        if full:
+            assert stats["peak_support"] == 1 << n
         assert np.array_equal(amps, evolved_amplitudes(flat, initial)[0])
         assert np.max(np.abs(amps - reference_amplitudes(flat, initial))) < 1e-12
 
@@ -186,8 +257,8 @@ class TestSparseEngine:
     def test_probabilities_fill_stats(self):
         stats = {}
         probabilities(bell_circuit(), stats=stats)
-        assert stats["engine"] == "dense"
-        assert stats["peak_support"] == 4
+        assert stats["engine"] == "sparse"
+        assert stats["peak_support"] == 2
 
     def test_sparse_run_is_not_bounded_by_the_cap(self, monkeypatch):
         monkeypatch.setenv("QVMP_SIM_MAX_QUBITS", "4")
@@ -199,19 +270,12 @@ class TestSparseEngine:
         hist = run(c, 100, seed=0)
         assert set(hist.counts) == {"00", "11"}
 
-    def test_dense_handoff_above_cap_raises(self, monkeypatch):
+    @pytest.mark.parametrize("num_qubits", [8, 40])
+    def test_support_above_cap_raises(self, monkeypatch, num_qubits):
+        # 2^8 entries are more than a cap of 6 allows, on a circuit of 8
+        # qubits (full support) or of 40 (wider than the cap).
         monkeypatch.setenv("QVMP_SIM_MAX_QUBITS", "6")
-        c = Circuit((("q", 8),), classical_bits=1)
-        for q in range(8):
-            c.h(q)
-        c.measure(0, 0)
-        with pytest.raises(ResourceError, match="cap of 6"):
-            run(c, 10, seed=0)
-
-    def test_sparse_support_above_cap_raises(self, monkeypatch):
-        # 2^8 entries on 40 qubits: more than the cap allows in either shape.
-        monkeypatch.setenv("QVMP_SIM_MAX_QUBITS", "6")
-        c = Circuit((("q", 40),), classical_bits=1)
+        c = Circuit((("q", num_qubits),), classical_bits=1)
         for q in range(8):
             c.h(q)
         c.measure(0, 0)
@@ -283,6 +347,11 @@ class TestStatevector:
         with pytest.raises(ContractError):
             statevector(c)
 
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_probability_rejects_an_index_outside_the_state(self, index):
+        with pytest.raises(ContractError, match="outside"):
+            statevector(bell_circuit()).probability(index)
+
     def test_qubit_cap(self, monkeypatch):
         monkeypatch.setenv("QVMP_SIM_MAX_QUBITS", "4")
         c = Circuit((("q", 5),))
@@ -346,6 +415,10 @@ class TestProbabilities:
         c = random_circuit(6, 30, rng)
         probs = probabilities(c, qubits=[1, 3, 5])
         assert abs(sum(probs.values()) - 1.0) < 1e-9
+
+    def test_rejects_an_empty_qubit_list(self):
+        with pytest.raises(ContractError, match="empty"):
+            probabilities(bell_circuit(), qubits=[])
 
     def test_unknown_qubit(self):
         c = Circuit((("q", 2),))
@@ -485,12 +558,22 @@ class TestHistogramFormats:
         with pytest.raises(FormatError):
             Histogram({"0": 1}, 2)
 
-    def test_bad_csv(self):
+    @pytest.mark.parametrize("text", ["bitstring,count,extra\n", "0,1\n0,2\n", "x,1\n",
+                                      "0,1\n10,1\n"],
+                             ids=["extra_field", "repeated_key", "not_a_bitstring",
+                                  "mixed_widths"])
+    def test_bad_csv(self, text):
         with pytest.raises(FormatError):
-            Histogram.from_csv("bitstring,count,extra\n")
+            Histogram.from_csv(text)
 
     @pytest.mark.parametrize("text", ["{}", "nope", "[1]", '{"counts": {"0": "a"}, "shots": 1}',
-                                      '{"counts": {"0": -1, "1": 1}, "shots": 0}'])
+                                      '{"counts": {"0": -1, "1": 1}, "shots": 0}',
+                                      '{"counts": {"0": true}, "shots": 1}',
+                                      '{"counts": {"0": 2}, "shots": 2.7}',
+                                      '{"counts": {"0": 2}, "shots": "2"}',
+                                      '{"counts": {"x": 1}, "shots": 1}',
+                                      '{"counts": {"0": 1, "10": 1}, "shots": 2}',
+                                      '{"counts": [["0", 1]], "shots": 1}'])
     def test_bad_json(self, text):
         with pytest.raises(FormatError):
             Histogram.from_json(text)
