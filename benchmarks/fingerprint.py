@@ -28,14 +28,19 @@ byte-identical. The families are
 - ``verify_modes``: ``qvmp_verify`` reports in the ``qvmp``, ``dual``,
   ``explicit`` 0 and ``explicit`` 2 iteration modes, on 4x4, 8x8 and 16x16
   products (seeds 0-19, flipped and true, 4 trials of 256 shots), with the
-  ``timings`` values dropped as in ``verify``.
+  ``timings`` values dropped as in ``verify``;
+- ``statevector``: the ``statevector`` amplitudes, as hex of their raw
+  bytes, of 200 seeded random circuits of 3-12 qubits with 40 gates drawn
+  from x, h, z, cx, ccx, mcx, mcz and lookup; every other circuit starts
+  with an H on each qubit, so its gates run at full support.
 
 The unlowered ``search`` and ``builders`` dumps show a table lookup as one
 ``lookup`` gate since that op was added, so only the lowered families
 compare across that change.
 
 Only long-standing public API is used, so the script runs unchanged on
-older checkouts.
+older checkouts, except the ``statevector`` family: it needs the lookup
+op (``Circuit.lookup``).
 """
 from __future__ import annotations
 
@@ -63,6 +68,7 @@ from qvmp.runner import (
     metrics_to_csv,
     qvmp_verify,
 )
+from qvmp.simulator import statevector
 
 # (mode, n, m, mismatches, seed) of each histogram payload
 HISTOGRAM_CASES = (
@@ -73,6 +79,7 @@ HISTOGRAM_CASES = (
 # (iteration mode, explicit iterations) of the verify_modes reports
 VERIFY_MODES = (("qvmp", None), ("dual", None), ("explicit", 0), ("explicit", 2))
 SEARCH_SIZES = ((4, 4), (8, 8), (16, 16), (32, 6), (64, 8))
+STATEVECTOR_KINDS = ("x", "h", "z", "cx", "ccx", "mcx", "mcz", "lookup")
 SCALING_GRID = Path(__file__).with_name("scaling_grid.json")
 
 
@@ -183,6 +190,39 @@ def scaling_lines():
                 yield json.dumps([circuit.metrics(c), circuit.lowered_metrics(c)])
 
 
+def random_circuit(seed: int) -> circuit.Circuit:
+    """A ``statevector`` family circuit: 3-12 qubits, an H layer first
+    on even seeds, then 40 gates of ``STATEVECTOR_KINDS``."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    c = circuit.Circuit((("q", n),))
+    if seed % 2 == 0:
+        for q in range(n):
+            c.h(q)
+    for _ in range(40):
+        kind = rng.choice(STATEVECTOR_KINDS)
+        order = rng.sample(range(n), n)
+        if kind in ("x", "h", "z"):
+            getattr(c, kind)(order[0])
+        elif kind == "cx":
+            c.cx(order[1], order[0])
+        elif kind == "ccx":
+            c.ccx(order[1], order[2], order[0])
+        elif kind in ("mcx", "mcz"):
+            k = min(n - 1, rng.randint(3, 5) if kind == "mcx" else rng.randint(1, 4))
+            getattr(c, kind)(order[1:1 + k], order[0])
+        else:
+            k = rng.randint(1, min(3, n - 1))
+            d = rng.randint(1, min(3, n - k))
+            c.lookup(order[:k], order[k:k + d], [rng.randrange(1 << d) for _ in range(1 << k)])
+    return c
+
+
+def statevector_lines():
+    for seed in range(200):
+        yield statevector(random_circuit(seed)).amplitudes.tobytes().hex()
+
+
 FAMILIES = {
     "verify": verify_lines,
     "metrics": metrics_lines,
@@ -194,6 +234,7 @@ FAMILIES = {
     "builders_lowered": lambda: lowered_lines(builder_circuits),
     "scaling": scaling_lines,
     "verify_modes": verify_modes_lines,
+    "statevector": statevector_lines,
 }
 
 

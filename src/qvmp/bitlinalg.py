@@ -249,6 +249,8 @@ def default_block_width(n: int) -> int:
 
 
 def random_vector(length: int, rng: random.Random, nonzero: bool = False) -> BitVector:
+    if length < 1:
+        raise DimensionError(f"vector length must be positive, got {length}")
     bits = rng.getrandbits(length)
     while nonzero and bits == 0:
         bits = rng.getrandbits(length)
@@ -256,6 +258,8 @@ def random_vector(length: int, rng: random.Random, nonzero: bool = False) -> Bit
 
 
 def random_matrix(rows: int, cols: int, rng: random.Random) -> BitMatrix:
+    if rows < 1 or cols < 1:
+        raise DimensionError(f"matrix shape must be positive, got {rows}x{cols}")
     return BitMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
 
 
@@ -314,7 +318,11 @@ def matrix_to_json(m: BitMatrix) -> dict:
 
 def load_matrix(path: str) -> BitMatrix:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_matrix(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"matrix file {path} is not UTF-8 text: {e}") from e
+    return parse_matrix(text)
 
 
 def save_matrix(m: BitMatrix, path: str) -> None:

@@ -67,8 +67,6 @@ class ExperimentConfig:
     shots: int = 4096
     seed: int = 0
     trials: int = 1
-    output: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self) -> None:
         if self.iteration_mode not in ITERATION_MODES:
@@ -81,8 +79,6 @@ class ExperimentConfig:
                  else len(set(self.mismatches)))  # repeats name one row, as in generate_instance
         if count > self.n:
             raise ContractError("more mismatches than rows")
-        if self.fmt not in ("csv", "json"):
-            raise ContractError(f"unknown output format {self.fmt!r}")
 
 
 @dataclass

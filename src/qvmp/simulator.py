@@ -6,18 +6,19 @@ same rule on classical bits: bit 0 is the rightmost character.
 
 Every evolution runs on a sparse state: an int64 array of the basis
 indices with nonzero amplitude and a float64 array of their amplitudes
-(the gate set is real). On it a controlled-X gate is one masked index XOR,
-a table lookup gathers each index's address bits and XORs in that row's
-word, spread onto the data qubits (one array of those masks per lookup
-gate and evolution), Z and MCZ flip the sign of the matching entries, and
-H is a merge of sorted pairs: each entry finds its partner (its index
-with the qubit's bit flipped) by binary search in the sorted indices, both
-members of a present pair are rewritten in place, an entry is appended for
-each missing partner, and amplitudes that cancelled are pruned. Between
-diffusers every ancilla of a search circuit is a function of the address,
-so its support never exceeds the n addresses whatever the register width.
-A run accepts up to ``SPARSE_MAX_QUBITS`` (62) qubits, the width of an
-int64 index.
+(the gate set is real). The stored indices are the true ones, and each
+gate is applied as it comes: an X is one index XOR, a controlled-X gate is
+one masked index XOR, a table lookup gathers each index's address bits and
+XORs in that row's word, spread onto the data qubits (one array of those
+masks per lookup gate and evolution), Z and MCZ flip the sign of the
+matching entries, and H is a merge of sorted pairs: each entry finds its
+partner (its index with the qubit's bit flipped) by binary search in the
+sorted indices, both members of a present pair are rewritten in place, an
+entry is appended for each missing partner, and amplitudes that cancelled
+are pruned. Between diffusers every ancilla of a search circuit is a
+function of the address, so its support never exceeds the n addresses
+whatever the register width. A run accepts up to ``SPARSE_MAX_QUBITS``
+(62) qubits, the width of an int64 index.
 
 The qubit cap (``QVMP_SIM_MAX_QUBITS``, a nonnegative integer, default 26,
 or ``statevector``'s ``max_qubits``) bounds the amplitudes held: an H that
@@ -25,12 +26,6 @@ leaves more than 2^cap entries (16 bytes each, as a dense complex128
 amplitude is), a ``statevector`` result or an outcome marginal wider than
 the cap raises ResourceError. At full support an H holds about twice the
 state's bytes at its peak.
-
-Bare X gates are tracked as an index-relabelling frame (an XOR mask over
-amplitude indices) instead of moving amplitudes; the other gates take the
-frame into account through control polarities, a conjugated Hadamard and,
-for a lookup, an address read XOR the frame's address bits. The frame is
-resolved once, when the evolution ends.
 
 Measurement is two steps. ``_outcomes`` evolves a circuit that ends in
 measurement and marginalizes onto its measured qubits, once; the
@@ -180,7 +175,7 @@ def _spread(value: int, qubits) -> int:
 
 def _gather(index, qubits):
     """Inverse of ``_spread``: bit i of the result is bit ``qubits[i]`` of
-    ``index`` (an int or an int64 array)."""
+    the int64 array ``index``."""
     out = 0
     for i, q in enumerate(qubits):
         out |= ((index >> q) & 1) << i
@@ -196,10 +191,9 @@ class _State:
     index: np.ndarray
     amp: np.ndarray
 
-    def h(self, qubit: int, swapped: bool) -> np.ndarray:
-        """Hadamard on one qubit, as a merge of sorted pairs; ``swapped``
-        exchanges the basis roles (the X-conjugated form used under a
-        flipped frame bit). Returns the pruned amplitudes.
+    def h(self, qubit: int) -> np.ndarray:
+        """Hadamard on one qubit, as a merge of sorted pairs. Returns the
+        pruned amplitudes.
 
         Each new amplitude is (+-p*r) + (+-a*r), r = 1/sqrt(2), for the
         amplitudes p and a of the pair's bit-0 and bit-1 members, and a
@@ -228,7 +222,7 @@ class _State:
         extra_index = index[missing] ^ bit
         extra_amp = amp[missing]
         del missing
-        np.negative(amp, out=amp, where=(index & bit) == (0 if swapped else bit))
+        np.negative(amp, out=amp, where=(index & bit) == bit)
         amp += partner
         del partner
         if extra_index.size:
@@ -283,15 +277,13 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
     # arrays it replaces are freed.
     peak = state.index.size
     pruned = 0.0
-    frame = 0
     lookups: dict[int, np.ndarray] = {}  # id of a lookup gate -> its data masks
     for g in circuit.gates:
         kind = g.kind
         if kind == X:
-            frame ^= 1 << g.targets[0]
+            state.index ^= 1 << g.targets[0]
         elif kind == H:
-            q = g.targets[0]
-            dropped = state.h(q, bool((frame >> q) & 1))
+            dropped = state.h(g.targets[0])
             size = state.index.size
             if size > 1 << limit:
                 raise ResourceError(
@@ -304,28 +296,25 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
             mask = 1 << g.targets[0]
             for c in g.controls:
                 mask |= 1 << c
-            state.amp[(state.index & mask) == (mask & ~frame)] *= -1.0
+            state.amp[(state.index & mask) == mask] *= -1.0
         elif kind in (CX, CCX, MCX):
             tmask = 1 << g.targets[0]
             cmask = 0
             for c in g.controls:
                 cmask |= 1 << c
-            state.index[(state.index & cmask) == (cmask & ~frame)] ^= tmask
+            state.index[(state.index & cmask) == cmask] ^= tmask
         elif kind == LOOKUP:
             masks = lookups.get(id(g))
             if masks is None:
                 masks = lookups[id(g)] = np.array([_spread(w, g.targets) for w in g.table],
                                                   dtype=np.int64)
-            # A stored index reads the address XOR the frame's address bits.
-            state.index ^= masks[_gather(state.index, g.controls) ^ _gather(frame, g.controls)]
+            state.index ^= masks[_gather(state.index, g.controls)]
         elif kind == MEASURE:
             pass  # terminal; sampling happens on the final state
         else:  # pragma: no cover - KINDS is closed
             raise ContractError(f"cannot simulate {kind}")
     if stats is not None:
         stats.update(engine="sparse", peak_support=int(peak), pruned_mass=pruned)
-    if frame:
-        state.index ^= frame
     return state
 
 

@@ -95,6 +95,18 @@ class TestBitMatrix:
         with pytest.raises(DimensionError):
             BitMatrix(2, 2, (0, 4))
 
+    @pytest.mark.parametrize("draw", [lambda rng: random_vector(0, rng),
+                                      lambda rng: random_vector(-1, rng, nonzero=True),
+                                      lambda rng: random_matrix(4, -1, rng),
+                                      lambda rng: random_matrix(0, 4, rng),
+                                      lambda rng: random_matrix(4, 0, rng)])
+    def test_random_sizes_below_one_raise_before_drawing(self, draw):
+        rng = random.Random(0)
+        before = rng.getstate()
+        with pytest.raises(DimensionError):
+            draw(rng)
+        assert rng.getstate() == before
+
 
 class TestMatvec:
     def test_example_matrix(self):

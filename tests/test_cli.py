@@ -66,6 +66,12 @@ class TestVerifyCommand:
         p.write_text("not a matrix\n")
         assert main(["verify", str(p), str(p), str(p)]) == 2
 
+    def test_undecodable_matrix_exit_two(self, product_files, tmp_path, capsys):
+        p = tmp_path / "bad.bin"
+        p.write_bytes(b"\xff4 4\n")
+        assert main(["verify", str(p), product_files["b"], product_files["c"]]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("text", ['{"rows": 4, "cols": 4, "data": 5}',
                                       '{"rows": 2, "cols": 2, "data": [[0, 1], 5]}',
                                       '{"rows": 1, "cols": 1, "data": [null]}',
@@ -122,6 +128,10 @@ class TestHistogramCommand:
         assert main(["histogram", "--n", "4", "--m", "2", "--shots", "16", "--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_width_exit_two(self, capsys):
+        assert main(["histogram", "--n", "4", "--m", "-1", "--shots", "16"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("value", ["abc", "-1"])
     def test_invalid_qubit_cap_exit_two(self, monkeypatch, capsys, value):
         monkeypatch.setenv("QVMP_SIM_MAX_QUBITS", value)
@@ -155,7 +165,8 @@ class TestMetricsCommand:
                                       '[{"n": 4, "m": 4, "mismatches": ["1"]}]',
                                       '[{"n": 8, "m": true, "mismatches": 1}]',
                                       '[{"n": 8, "m": 4, "mismatches": true}]',
-                                      '[{"n": 8, "m": 4, "mismatches": [true]}]'])
+                                      '[{"n": 8, "m": 4, "mismatches": [true]}]',
+                                      '[{"n": 8, "m": -2, "mismatches": 1}]'])
     def test_bad_grid_exit_two(self, tmp_path, capsys, text):
         p = tmp_path / "grid.json"
         p.write_text(text)
@@ -172,6 +183,10 @@ class TestScanCommand:
         values = {int(k): float(p) for k, p in (ln.split(",") for ln in lines[1:])}
         assert abs(values[0] - 0.375) < 1e-9
         assert abs(values[1] - 27 / 32) < 1e-9
+
+    def test_negative_width_exit_two(self, capsys):
+        assert main(["scan", "--n", "4", "--m", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_dual_scan(self, capsys):
         code = main([

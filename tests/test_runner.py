@@ -78,8 +78,6 @@ class TestConfig:
             ExperimentConfig(n=4, mismatches=5)
         with pytest.raises(ContractError):
             ExperimentConfig(iteration_mode="bogus")
-        with pytest.raises(ContractError):
-            ExperimentConfig(fmt="yaml")
 
     def test_repeated_mismatch_rows_count_once(self):
         # generate_instance reads (1, 1, 1) as one mismatched row, so the

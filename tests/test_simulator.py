@@ -97,19 +97,18 @@ def evolved_amplitudes(circuit, initial):
     return _scatter(circuit.num_qubits, state.index, state.amp), stats
 
 
-def merged_h(index, amp, qubit, swapped):
+def merged_h(index, amp, qubit):
     """Hadamard on a sparse state by merging equal indices with np.unique
     and bincount: the engine's earlier form, kept as the reference for
     ``_State.h``'s pair merge. Returns the new arrays and the pruned
     amplitudes."""
     bit = 1 << qubit
     scaled = amp * INV_SQRT2
-    signed = np.where((index & bit) == (0 if swapped else bit), -scaled, scaled)
-    lo, hi = (signed, scaled) if swapped else (scaled, signed)
+    signed = np.where((index & bit) == bit, -scaled, scaled)
     keys, pair = np.unique(index & ~bit, return_inverse=True)
     merged_index = np.concatenate((keys, keys | bit))
-    merged_amp = np.concatenate((np.bincount(pair, weights=lo, minlength=keys.size),
-                                 np.bincount(pair, weights=hi, minlength=keys.size)))
+    merged_amp = np.concatenate((np.bincount(pair, weights=scaled, minlength=keys.size),
+                                 np.bincount(pair, weights=signed, minlength=keys.size)))
     keep = np.abs(merged_amp) > 1e-13
     return merged_index[keep], merged_amp[keep], merged_amp[~keep]
 
@@ -165,10 +164,9 @@ class TestSparseEngine:
         both are sorted by index, and prunes the same amplitudes."""
         n, index, amp = state
         qubit = data.draw(st.integers(0, n - 1))
-        swapped = data.draw(st.booleans())
-        ref_index, ref_amp, ref_dropped = merged_h(index, amp, qubit, swapped)
+        ref_index, ref_amp, ref_dropped = merged_h(index, amp, qubit)
         sparse = _State(n, index.copy(), amp.copy())
-        dropped = sparse.h(qubit, swapped)
+        dropped = sparse.h(qubit)
         order = np.argsort(sparse.index)
         ref_order = np.argsort(ref_index)
         assert np.array_equal(sparse.index[order], ref_index[ref_order])
@@ -231,6 +229,26 @@ class TestSparseEngine:
             assert stats["peak_support"] == 1 << n
         assert np.array_equal(amps, evolved_amplitudes(flat, initial)[0])
         assert np.max(np.abs(amps - reference_amplitudes(flat, initial))) < 1e-12
+
+    def test_x_then_h_on_every_qubit_at_full_support(self):
+        # At full support, an X on each qubit permutes the whole index
+        # array before the H that follows it, and the lookup then reads
+        # addresses flipped by one more X.
+        n = 10
+        c = Circuit((("q", n),))
+        for q in range(n):
+            c.h(q)
+        for q in range(n):
+            c.x(q)
+            c.h(q)
+        c.x(1)
+        c.lookup((1, 4, 7), (0, 5), (3, 0, 2, 1, 1, 3, 0, 2))
+        c.x(1)
+        flat = Circuit(c.registers)
+        flat.gates = _expanded(c.gates)
+        amps, stats = evolved_amplitudes(c, 0)
+        assert stats["peak_support"] == 1 << n
+        assert np.max(np.abs(amps - reference_amplitudes(flat, 0))) < 1e-12
 
     def test_few_hadamards_stay_sparse(self):
         c = Circuit((("q", 12),))
