@@ -3,6 +3,12 @@
 Exact F2 linear algebra, a gate-level circuit IR, a sparse statevector
 simulator on NumPy, search-circuit builders, and an experiment driver
 with a CLI.
+
+Importing the package loads the construction stack only: the algebra,
+the IR, the builders and the driver, none of which needs NumPy. The
+simulator module, and NumPy with it, loads on first use: at the first
+access to one of its names below (``run``, ``statevector``, ...) or the
+first call that simulates (``qvmp_verify``, ``scan_success_probability``).
 """
 from .bitlinalg import (
     BitMatrix,
@@ -34,7 +40,9 @@ from .grover import (
     scan_success_probability,
 )
 from .runner import ExperimentConfig, VerdictReport, generate_instance, qvmp_verify
-from .simulator import Histogram, Statevector, probabilities, run, statevector
+
+# names resolved from the simulator module at first access (PEP 562)
+_SIMULATOR_NAMES = ("Histogram", "Statevector", "probabilities", "run", "statevector")
 
 __version__ = "0.1.0"
 
@@ -73,3 +81,16 @@ __all__ = [
     "statevector",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        value = globals()[name] = getattr(simulator, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SIMULATOR_NAMES))

@@ -22,7 +22,6 @@ from typing import Sequence
 from .bitlinalg import BitMatrix, BitVector, append_column, mismatch_rows
 from .circuit import CCX, CX, H, LOOKUP, X, Z, Circuit, Gate, _x_kind
 from .errors import ContractError, DimensionError
-from .simulator import _evolve
 
 __all__ = [
     "QvmpInstance",
@@ -279,7 +278,10 @@ def scan_success_probability(inst: QvmpInstance, max_iters: int,
     """Exact probability mass on the solution addresses after k iterations,
     for k = 0..max_iters. In dual mode the tracked set is the matching rows.
     The state is carried across k, so the scan evolves max_iters
-    iterations in all."""
+    iterations in all. This is the one function of this module that
+    simulates, so the engine (and NumPy) loads at its first call."""
+    from .simulator import _evolve
+
     if max_iters < 1:
         raise ContractError("max_iters must be >= 1")
     tracked = set(inst.solutions)

@@ -15,6 +15,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import circuit as circ_mod
 from .bitlinalg import (
@@ -28,7 +29,9 @@ from .bitlinalg import (
 )
 from .errors import ContractError, DimensionError, FormatError
 from .grover import QvmpInstance, build_grover_search, plan_iterations
-from .simulator import Histogram, _check_keys, _outcomes
+
+if TYPE_CHECKING:
+    from .simulator import Histogram
 
 __all__ = [
     "ExperimentConfig",
@@ -161,6 +164,8 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
     building the lowered circuit, and ``timings["lower"]`` times that
     call.
     """
+    from .simulator import _outcomes
+
     n = a.rows
     for mat in (a, b, c):
         if mat.rows != n or mat.cols != n:
@@ -285,6 +290,8 @@ def metrics_from_csv(text: str) -> list[dict]:
 def emit_histogram(inst: QvmpInstance, plan, shots: int, seed: int) -> dict:
     """Sampled counts and exact probabilities for every address string,
     both from one evolution of the search circuit."""
+    from .simulator import _outcomes
+
     dual = plan.mode == "dual"
     search = build_grover_search(inst, plan.iterations, dual=dual)
     outcomes = _outcomes(search)
@@ -310,6 +317,8 @@ def histogram_to_csv(payload: dict) -> str:
 
 
 def histogram_from_csv(text: str) -> dict:
+    from .simulator import _check_keys
+
     counts: dict[str, int] = {}
     probs: dict[str, float] = {}
     lines = [ln for ln in text.splitlines() if ln.strip()]

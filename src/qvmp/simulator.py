@@ -10,7 +10,7 @@ indices with nonzero amplitude and a float64 array of their amplitudes
 gate is applied as it comes: an X is one index XOR, a controlled-X gate is
 one masked index XOR, a table lookup gathers each index's address bits and
 XORs in that row's word, spread onto the data qubits (one array of those
-masks per lookup gate and evolution), Z and MCZ flip the sign of the
+masks per table, data qubits and evolution), Z and MCZ flip the sign of the
 matching entries, and H is a merge of sorted pairs: each entry finds its
 partner (its index with the qubit's bit flipped) by binary search in the
 sorted indices, both members of a present pair are rewritten in place, an
@@ -277,7 +277,9 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
     # arrays it replaces are freed.
     peak = state.index.size
     pruned = 0.0
-    lookups: dict[int, np.ndarray] = {}  # id of a lookup gate -> its data masks
+    # (id of a lookup table, data qubits) -> data masks; a lookup and its
+    # reverse=True uncompute share one table, so they share one entry
+    lookups: dict[tuple, np.ndarray] = {}
     for g in circuit.gates:
         kind = g.kind
         if kind == X:
@@ -304,10 +306,11 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
                 cmask |= 1 << c
             state.index[(state.index & cmask) == cmask] ^= tmask
         elif kind == LOOKUP:
-            masks = lookups.get(id(g))
+            key = (id(g.table), g.targets)
+            masks = lookups.get(key)
             if masks is None:
-                masks = lookups[id(g)] = np.array([_spread(w, g.targets) for w in g.table],
-                                                  dtype=np.int64)
+                masks = lookups[key] = np.array([_spread(w, g.targets) for w in g.table],
+                                                dtype=np.int64)
             state.index ^= masks[_gather(state.index, g.controls)]
         elif kind == MEASURE:
             pass  # terminal; sampling happens on the final state

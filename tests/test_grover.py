@@ -553,12 +553,12 @@ class TestScan:
             assert abs(scan[k] - closed_form(8, 3, k)) < 1e-9
 
     def test_state_carried_across_iterations(self, monkeypatch):
-        import qvmp.grover as grover
+        import qvmp.simulator as simulator
 
         inst = make_instance(8, 3, {1, 6}, seed=24)
         calls = []
-        evolve = grover._evolve
-        monkeypatch.setattr(grover, "_evolve", lambda *a, **k: calls.append(1) or evolve(*a, **k))
+        evolve = simulator._evolve
+        monkeypatch.setattr(simulator, "_evolve", lambda *a, **k: calls.append(1) or evolve(*a, **k))
         scan = scan_success_probability(inst, 4)
         # one preparation plus one (oracle, diffuser) step per k >= 1
         assert len(calls) == 5

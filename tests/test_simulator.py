@@ -250,6 +250,28 @@ class TestSparseEngine:
         assert stats["peak_support"] == 1 << n
         assert np.max(np.abs(amps - reference_amplitudes(flat, 0))) < 1e-12
 
+    @pytest.mark.parametrize("fold_y", [False, True])
+    def test_lookup_masks_spread_once_per_table(self, fold_y, monkeypatch):
+        # Each iteration's oracle loads the table and its reverse=True copy
+        # unloads it: six lookups on one table, whose n words are spread
+        # onto the data qubits once per evolution.
+        import qvmp.simulator as simulator
+
+        n = 16
+        search = build_grover_search(generate_instance(n, 4, 2, seed=5), 3, fold_y=fold_y)
+        lookups = [g for g in search.gates if g.kind == LOOKUP]
+        assert len(lookups) == 6
+        assert sum(g.reverse for g in lookups) == 3
+        assert len({id(g.table) for g in lookups}) == 1
+        calls = []
+        spread = simulator._spread
+        monkeypatch.setattr(simulator, "_spread",
+                            lambda *a: calls.append(1) or spread(*a))
+        _evolve(search)
+        assert len(calls) == n
+        _evolve(search)
+        assert len(calls) == 2 * n
+
     def test_few_hadamards_stay_sparse(self):
         c = Circuit((("q", 12),))
         c.h(3)
