@@ -18,15 +18,14 @@ write by write (``_lay_rows``) only until each data qubit has been written
 once and around zero-word rows, and every other row in closed form from
 its popcount and its X gates (``_lay_lookup``): O(n + prefix writes + m)
 steps per lookup of n rows and m data qubits, not one per set table bit.
-The walker also lays whole repeats of a gate run as one step. If a lookup
-object recurs, the gates since its last occurrence repeat next, and every
-level that moved since then moved by the same c, then each further repeat
-moves those levels by c again: every level update is a max of levels plus
-a constant, so the walk commutes with a uniform shift. A part of the run
-after the repeats that ends where another lookup of the run kept its
-levels is lifted from that copy the same way. The census counts t such
-repeats as t times the first. A search lays and counts a few of its
-(oracle, diffuser) iterations, not all of them.
+
+``Circuit.repeat(body, t)`` appends a body's gates t times and records
+them as one block (start, len(body), t) in ``blocks``; ``gates`` stays the
+flat list. The census counts a block as t times its body, and the walker
+stops laying a block's passes once they shift its levels uniformly, so a
+search counts one (oracle, diffuser) iteration and lays three lookups,
+whatever the iteration count.
+
 Every unitary kind here is self-inverse, so inversion reverses the gate
 order; a lookup keeps its table and reverses the order its expansion is
 written in (``reverse``).
@@ -35,8 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import islice
-from operator import itemgetter, sub
+from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CompositionError, ContractError, InversionError
@@ -90,7 +88,9 @@ class Circuit:
     """Ordered gate list over named registers.
 
     Built single-threaded, then frozen; a frozen circuit is immutable and
-    safe to share. Measurement is terminal per qubit.
+    safe to share. Measurement is terminal per qubit. ``blocks`` lists
+    (start, body length, t) for each run of ``gates`` that ``repeat``
+    wrote as t copies of one body, in gate order.
     """
 
     def __init__(self, registers: Sequence[tuple[str, int]], classical_bits: int = 0):
@@ -101,6 +101,7 @@ class Circuit:
         self.registers: tuple[tuple[str, int], ...] = tuple(registers)
         self.classical_bits = classical_bits
         self.gates: list[Gate] = []
+        self.blocks: list[tuple[int, int, int]] = []
         self._frozen = False
         self._measured: set[int] = set()
         self._widths: dict[str, int] = dict(self.registers)
@@ -180,8 +181,41 @@ class Circuit:
         checks already and a distinct mapping keeps them valid, so only the
         table and the contracts that depend on this circuit are checked:
         frozen, gates after measurement, declared classical bits. Nothing
-        is appended when a check fails.
+        is appended when a check fails. ``other``'s blocks come along,
+        shifted to where its gates land.
         """
+        table = self._qubit_map(other, mapping)
+        start = len(self.gates)
+        if all(q == i for i, q in enumerate(table)):
+            self.gates.extend(other.gates)
+        else:
+            self.gates.extend([
+                Gate(g.kind, tuple([table[q] for q in g.controls]),
+                     tuple([table[q] for q in g.targets]), g.classical, g.table, g.reverse)
+                for g in other.gates
+            ])
+        self.blocks += [(s + start, p, t) for s, p, t in other.blocks]
+        self._measured.update([table[q] for q in other._measured])
+
+    def repeat(self, body: Circuit, t: int) -> None:
+        """Append ``t`` copies of ``body``'s gates under ``extend``'s checks
+        and record them as one block (start, len(body), t); ``body``'s own
+        blocks are not kept. A measured body repeats at most once. Nothing
+        is appended when a check fails, nor for t = 0 or an empty body.
+        """
+        if t < 0:
+            raise ContractError("repeat count must be >= 0")
+        self._qubit_map(body, None)
+        if t > 1 and body._measured:
+            raise ContractError(f"gate after measurement on qubit {min(body._measured)}")
+        if t and body.gates:
+            self.blocks.append((len(self.gates), len(body.gates), t))
+            self.gates += body.gates * t
+            self._measured.update(body._measured)
+
+    def _qubit_map(self, other: Circuit, mapping: Sequence | None) -> list[int]:
+        """The qubit here of each of ``other``'s qubits, once the checks
+        ``extend`` describes pass."""
         if self._frozen:
             raise ContractError("circuit is frozen")
         if mapping is None:
@@ -212,15 +246,7 @@ class Circuit:
             for g in other.gates:
                 if g.kind == MEASURE and not g.classical < self.classical_bits:
                     raise ContractError("measure needs a declared classical bit")
-        if all(q == i for i, q in enumerate(table)):
-            self.gates.extend(other.gates)
-        else:
-            self.gates.extend([
-                Gate(g.kind, tuple([table[q] for q in g.controls]),
-                     tuple([table[q] for q in g.targets]), g.classical, g.table, g.reverse)
-                for g in other.gates
-            ])
-        self._measured.update([table[q] for q in other._measured])
+        return table
 
     def x(self, q) -> None:
         self.append(Gate(X, (), (self._resolve(q),)))
@@ -280,6 +306,7 @@ def compose(a: Circuit, b: Circuit, mapping: Sequence | None = None) -> Circuit:
     larger of the two classical bit counts."""
     out = Circuit(a.registers, max(a.classical_bits, b.classical_bits))
     out.gates = list(a.gates)
+    out.blocks = list(a.blocks)
     out._measured = set(a._measured)
     out.extend(b, mapping)
     return out
@@ -288,7 +315,8 @@ def compose(a: Circuit, b: Circuit, mapping: Sequence | None = None) -> Circuit:
 def inverse(c: Circuit) -> Circuit:
     """Reverse the gate order; every supported unitary is self-inverse. A
     lookup keeps its table and has its expansion written backwards, so
-    ``lower(inverse(c))`` is ``inverse(lower(c))``."""
+    ``lower(inverse(c))`` is ``inverse(lower(c))``. The result has no
+    blocks, so its walk lays every pass; the depth stays exact."""
     if c.has_measurement():
         raise InversionError("cannot invert a circuit containing measurement")
     out = Circuit(c.registers, c.classical_bits)
@@ -356,55 +384,29 @@ def _lookup_census(g: Gate) -> list[tuple[tuple[str, int], int]]:
     return [entry for entry in census if entry[1]]
 
 
-def _repeats(gates: list[Gate], i: int, pos: int) -> int:
-    """Count the whole copies of ``gates[i:pos]`` that follow from ``pos``."""
-    p = pos - i
-    run = gates[i:pos]
-    t = 0
-    while gates[pos + t * p:pos + (t + 1) * p] == run:
-        t += 1
-    return t
-
-
-def _advance(walk: Iterator, k: int) -> None:
-    """Drop the next ``k`` items of ``walk``."""
-    next(islice(walk, k, k), None)
+def _runs(c: Circuit) -> Iterator[tuple[list[Gate], int]]:
+    """``c``'s gates in order as (gates, t): each block's body with its t,
+    and the gates between blocks with t = 1."""
+    gates, pos = c.gates, 0
+    for start, p, t in c.blocks:
+        yield gates[pos:start], 1
+        yield gates[start:start + p], t
+        pos = start + p * t
+    yield gates[pos:], 1
 
 
 def _census(c: Circuit) -> dict[tuple[str, int], int]:
     """Gates per (kind, control count) in first-appearance order, a lookup
-    counted as its expansion.
-
-    When a lookup object recurs and the gates since its last occurrence
-    repeat whole t times from there, as a search repeats its iteration,
-    those repeats add t times what the gates since then added. A reverse
-    lookup shares its forward one's table, so each (table, ``reverse``) is
-    expanded once.
-    """
-    gates = c.gates
+    counted as its expansion and a block as t times its body."""
     census: dict[tuple[str, int], int] = {}
-    tables: dict[tuple[int, bool], list] = {}  # (id of a table, reverse) -> its census
-    marks: dict[int, tuple[int, dict]] = {}  # id of a lookup -> (position, census there)
-    walk = enumerate(gates)
-    for pos, g in walk:
-        if g.kind == LOOKUP:
-            mark = marks.get(id(g))
-            t = mark is not None and _repeats(gates, mark[0], pos)
-            if t:
-                _advance(walk, t * (pos - mark[0]) - 1)
-                before = mark[1]
-                for key, num in census.items():
-                    census[key] = num + t * (num - before.get(key, 0))
-                continue
-            marks[id(g)] = (pos, census.copy())
-            table = (id(g.table), g.reverse)
-            if table not in tables:
-                tables[table] = _lookup_census(g)
-            for key, num in tables[table]:
-                census[key] = census.get(key, 0) + num
-        else:
-            key = (g.kind, len(g.controls))
-            census[key] = census.get(key, 0) + 1
+    for gates, t in _runs(c):
+        for g in gates:
+            if g.kind == LOOKUP:
+                entries = _lookup_census(g)
+            else:
+                entries = (((g.kind, len(g.controls)), 1),)
+            for key, num in entries:
+                census[key] = census.get(key, 0) + t * num
     return census
 
 
@@ -575,53 +577,51 @@ def _depth(c: Circuit, anc0: int | None) -> int:
     measurement counts as a gate. Levels never fall, so the depth is the
     deepest level at the end.
 
-    Whole repeats of a gate run are one step. At each lookup the walker
-    keeps its position and a copy of the level table. Say the same lookup
-    object recurs p gates later, the next p gates repeat the p before, and
-    every level that moved over those p gates moved by the same c. Then
-    each further repeat moves the same levels by c again: every level
-    update is a max of levels plus a constant, so laying a run commutes
-    with a uniform shift of the levels it reads, and every qubit a run
-    touches rises while the others keep their level, so the levels that
-    moved are exactly the run's. The t whole repeats that follow are laid
-    as +t·c on those levels. A run prefix that follows them, up to where
-    another lookup of the run kept its levels (the longest such), is not
-    laid either: laid from the levels at the mark plus (t + 1)·c on the
-    moved ones, it ends at that lookup's copy plus the same lift, since it
-    touches only moved levels. This also holds with no whole repeat
-    (t = 0). A search's (oracle, diffuser) step settles into such a shift
-    by its second reverse lookup, and its last reverse lookup and diffuser
-    end where the second forward lookup kept its levels, so a walk lays
+    A block of t passes of a body is laid pass by pass (``_lay_block``)
+    until, at the body's start or one of its lookups, every level that
+    moved since the same point one pass earlier moved by the same c.
+    Laying commutes with a uniform shift (every level update is a max of
+    levels plus a constant), and the gates between the two points are a
+    rotation of the body, so they move exactly the levels the body
+    touches. Each later pass moves them by c again, so the block ends at
+    the previous pass's end plus (t - j)·c on them, j the current pass. A
+    search's step settles at its second reverse lookup, so its walk lays
     three lookups whatever the iteration count, from two iterations on.
     """
-    gates = c.gates
     n = c.num_qubits
     level = [0] * (n if anc0 is None else n + max(n - 3, 0))  # k <= n - 1 controls
-    marks: dict[int, tuple[int, list[int]]] = {}  # id of a lookup -> (position, levels there)
-    walk = enumerate(gates)
-    for pos, g in walk:
-        kind = g.kind
-        if kind == LOOKUP:
-            mark = marks.get(id(g))
-            if mark is not None:
-                i, before = mark
+    for gates, t in _runs(c):
+        level = _lay_block(level, gates, t, anc0)
+    return max(level, default=0)
+
+
+def _lay_block(level: list[int], body: list[Gate], t: int, anc0: int | None) -> list[int]:
+    """The levels after ``t`` passes of ``body``, as ``_depth`` lays a
+    block; ``level`` is laid in place until the passes settle."""
+    cuts = sorted({0}.union(i for i, g in enumerate(body) if g.kind == LOOKUP))
+    spans = [body[i:j] for i, j in zip(cuts, cuts[1:] + [len(body)])]
+    seen: list = [None] * len(spans)  # the levels at each span's start, one pass earlier
+    end = level
+    for j in range(t):
+        for s, span in enumerate(spans):
+            before = seen[s]
+            if before is not None:
                 shift = set(map(sub, level, before))
                 shift.discard(0)
                 if len(shift) == 1:
-                    t = _repeats(gates, i, pos)
-                    end = pos + t * (pos - i)
-                    # the longest prefix of the run after the repeats that
-                    # ends where a lookup kept its levels inside the run
-                    s, base = max(((s, lv) for s, lv in marks.values()
-                                   if i < s and gates[end:end + s - i] == gates[i:s]),
-                                  key=itemgetter(0), default=(i, before))
-                    if t or s > i:
-                        lift = (t + 1) * shift.pop()
-                        level = [x + lift if v != b else v
-                                 for x, v, b in zip(base, level, before)]
-                        _advance(walk, end + s - i - pos - 1)
-                        continue
-            marks[id(g)] = (pos, level.copy())
+                    lift = (t - j) * shift.pop()
+                    return [e + lift if v != b else e for e, v, b in zip(end, level, before)]
+            seen[s] = level.copy()
+            _lay(level, span, anc0)
+        end = level.copy()
+    return level
+
+
+def _lay(level: list[int], gates: list[Gate], anc0: int | None) -> None:
+    """Lay ``gates`` in order onto a ``_depth`` level table."""
+    for g in gates:
+        kind = g.kind
+        if kind == LOOKUP:
             _lay_lookup(level, g, anc0)
         elif anc0 is not None and (kind == MCX or kind == MCZ):
             if kind == MCZ:
@@ -638,7 +638,6 @@ def _depth(c: Circuit, anc0: int | None) -> int:
             layer += 1
             for q in qubits:
                 level[q] = layer
-    return max(level, default=0)
 
 
 def depth(c: Circuit) -> int:
@@ -685,6 +684,7 @@ def lower(c: Circuit) -> Circuit:
     built without ``append``: basis gates of ``c`` are valid already, and
     the v-chains touch only ``c``'s gate qubits and the declared ancillas.
     ``lowered_metrics`` gives ``metrics`` of the result without building it.
+    The result has no blocks, so its walk lays every pass.
     """
     flat = _expanded(c.gates)
     n_anc = _ancilla_width(_census(c))

@@ -239,7 +239,7 @@ def _grover_iteration(inst: QvmpInstance, dual: bool, fold_y: bool) -> Circuit:
 def build_grover_search(inst: QvmpInstance, iterations: int, dual: bool = False, *,
                         fold_y: bool = False, measure: bool = True) -> Circuit:
     """Search circuit: uniform address superposition, y loaded by X gates,
-    (oracle, diffuser) repeated ``iterations`` times, then, with
+    (oracle, diffuser) as one block of ``iterations`` passes, then, with
     ``measure``, address qubit i measured into classical bit i.
 
     ``fold_y`` builds the compact form that the verification driver
@@ -264,9 +264,7 @@ def build_grover_search(inst: QvmpInstance, iterations: int, dual: bool = False,
             if inst.y[i]:
                 c.x(c.qubit("y", i))
     if iterations:
-        step = _grover_iteration(inst, dual, fold_y)
-        for _ in range(iterations):
-            c.extend(step)
+        c.repeat(_grover_iteration(inst, dual, fold_y), iterations)
     if measure:
         for i, q in enumerate(addr):
             c.measure(q, i)

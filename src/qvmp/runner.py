@@ -149,7 +149,7 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
 
     Per block and trial: draw a random nonzero x, compute y = B_i·x and
     z = C_i·x classically, search for a row with (A·y)_j != z_j, and
-    confirm the candidate classically. The solution count used for
+    confirm the candidate j by that one row. The solution count used for
     iteration planning comes from the classical ground truth; with zero
     solutions the trial plans zero iterations, since the address marginal
     stays uniform anyway. Such a trial's circuit holds only the address
@@ -228,7 +228,7 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
             timings["simulate"] += time.perf_counter() - t0
             histograms[f"{bi}/{trial}"] = hist
             j = _candidate_address(hist, n, dual)
-            if j in inst.solutions:  # (A·y)_j != z_j, rows already found for the plan
+            if inst.matrix.row(j).dot(inst.y) != inst.z[j]:
                 return finish("inconsistent", (bi, j))
     return finish("consistent", None)
 

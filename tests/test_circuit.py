@@ -284,6 +284,111 @@ class TestExtend:
         assert a.gates == []
 
 
+def flat(c):
+    """``c``'s gates with no blocks."""
+    out = Circuit(c.registers, c.classical_bits)
+    out.gates = list(c.gates)
+    return out
+
+
+@st.composite
+def repeats(draw):
+    """A circuit written by ``repeat`` and the same one written by ``extend``
+    calls: a ``lowering_circuits`` prefix, a body of up to 30 gates on the
+    same qubits repeated t = 0..8 times, and terminal measurements."""
+    prefix = draw(lowering_circuits(measure=False))
+    n = prefix.num_qubits
+    body = draw(lowering_circuits(measure=False, qubits=st.just(n)))
+    t = draw(st.integers(0, 8))
+    measured = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    pair = []
+    for by_repeat in (True, False):
+        c = Circuit(prefix.registers, n)
+        c.extend(prefix)
+        if by_repeat:
+            c.repeat(body, t)
+        else:
+            for _ in range(t):
+                c.extend(body)
+        for q in measured:
+            c.measure(q, q)
+        pair.append(c)
+    return pair
+
+
+class TestRepeat:
+    @pytest.mark.parametrize("case", [0, 3])  # the cases that map identically
+    def test_contract_errors_match_extend(self, case):
+        target, other, _ = TestExtend.contract_cases()[case]
+        with pytest.raises(ContractError):
+            target.repeat(other, 2)
+        assert target.gates == [] and target.blocks == []
+
+    def test_negative_count(self):
+        c, body = Circuit((("q", 2),)), Circuit((("q", 2),))
+        body.x(0)
+        with pytest.raises(ContractError):
+            c.repeat(body, -1)
+        assert c.gates == [] and c.blocks == []
+
+    def test_measurement_in_body(self):
+        body = Circuit((("q", 2),), classical_bits=1)
+        body.h(0)
+        body.measure(0, 0)
+        c = Circuit((("q", 2),), classical_bits=1)
+        with pytest.raises(ContractError, match="gate after measurement"):
+            c.repeat(body, 2)
+        assert c.gates == [] and c.blocks == []
+        c.repeat(body, 1)
+        assert c.gates == body.gates and c.measured_qubits() == [(0, 0)]
+
+    def test_nothing_to_repeat(self):
+        body, empty = Circuit((("q", 2),)), Circuit((("q", 2),))
+        body.x(0)
+        c = Circuit((("q", 2),))
+        c.x(1)
+        c.repeat(body, 0)
+        c.repeat(empty, 5)
+        assert c.gates == [Gate(X, (), (1,))] and c.blocks == []
+
+    def test_repeat_of_itself(self):
+        c = Circuit((("q", 2),))
+        c.x(0)
+        c.cx(0, 1)
+        c.repeat(c, 2)
+        assert c.gates == [Gate(X, (), (0,)), Gate(CX, (0,), (1,))] * 3
+        assert c.blocks == [(2, 2, 2)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeats())
+    def test_repeat_matches_flat_extends(self, pair):
+        rep, plain = pair
+        assert rep.gates == plain.gates and plain.blocks == []
+        assert metrics(rep) == metrics(plain)
+        assert list(gate_counts(rep)) == list(gate_counts(plain))
+        got, want = lowered_metrics(rep), lowered_metrics(plain)
+        assert got == want and list(got["counts"]) == list(want["counts"])
+        assert dump(rep) == dump(plain)
+
+    def test_blocks_survive_composition(self):
+        inst = generate_instance(16, 8, 2, seed=7)
+        search = build_grover_search(inst, 5)
+        bare = build_grover_search(inst, 3, measure=False)
+        wide = Circuit(search.registers + (("w", 2),), search.classical_bits)
+        wide.h(wide.num_qubits - 1)
+        cases = [compose(bare, search), compose(wide, search, range(search.num_qubits)),
+                 inverse(bare)]
+        assert [len(c.blocks) for c in cases] == [2, 1, 0]
+        assert cases[0].blocks[1][0] == len(bare.gates) + search.blocks[0][0]
+        for c in cases:
+            for start, p, t in c.blocks:
+                assert c.gates[start:start + p * t] == c.gates[start:start + p] * t
+            assert metrics(c) == metrics(flat(c))
+            assert lowered_metrics(c) == lowered_metrics(flat(c))
+        assert depth(cases[2]) == depth(bare)
+        assert lowered_metrics(cases[2])["depth"] == lowered_metrics(bare)["depth"]
+
+
 class TestInverse:
     def test_involution(self):
         c = random_circuit(5, 20, random.Random(2))
@@ -534,7 +639,7 @@ def small_gates(draw, n):
 
 @st.composite
 def repeated_runs(draw):
-    """A run of one to eight gate objects appended one to eight times as
+    """A run of one to eight gate objects written one to eight times as
     the same objects, as a search repeats its iteration's gates, after a
     ``lowering_circuits`` prefix and before a suffix that ends in
     measurements. The run holds a lookup object, sometimes a second one,
@@ -543,8 +648,8 @@ def repeated_runs(draw):
     the run lifts qubits unevenly and its shift may settle only after a few
     repeats, or never. Variants: one gate of the last repeat differs, the
     lookup recurs in another run between two stretches of repeats, or a
-    part of the run follows the repeats, as a search's last oracle and
-    diffuser follow its whole iterations."""
+    part of the run follows the repeats. On about half the draws each
+    stretch of repeats is one ``repeat`` call, on the rest flat appends."""
     prefix = draw(lowering_circuits(measure=False, qubits=st.integers(5, 9)))
     n = prefix.num_qubits
     c = Circuit(prefix.registers, n)
@@ -562,21 +667,32 @@ def repeated_runs(draw):
     while len(run) < 8 and draw(st.booleans()):
         run += draw(small_gates(n))
     run = draw(st.permutations(run[:8]))
-    gates = run * draw(st.integers(1, 8))
+    t = draw(st.integers(1, 8))
+    stretches = [(run, t)]  # (gates, times written)
     variant = draw(st.sampled_from(["repeats", "last differs", "recurs between", "part"]))
     if variant == "last differs":
-        i = len(gates) - len(run) + draw(st.integers(0, len(run) - 1))
-        gates[i] = draw(st.sampled_from([Gate(H, (), (0,)), Gate(Z, (), (0,))])
-                        .filter(lambda g: g != gates[i]))
+        last = list(run)
+        i = draw(st.integers(0, len(run) - 1))
+        last[i] = draw(st.sampled_from([Gate(H, (), (0,)), Gate(Z, (), (0,))])
+                       .filter(lambda g: g != run[i]))
+        stretches = [(run, t - 1), (last, 1)]
     elif variant == "recurs between":
         between = [lookup]
         for _ in range(draw(st.integers(1, 3))):
             between += draw(small_gates(n))
-        gates += draw(st.permutations(between)) + run * draw(st.integers(1, 8))
+        stretches += [(draw(st.permutations(between)), 1), (run, draw(st.integers(1, 8)))]
     elif variant == "part":
-        gates += run[:draw(st.integers(1, len(run) - 1))]
-    for g in gates:
-        c.append(g)
+        stretches.append((run[:draw(st.integers(1, len(run) - 1))], 1))
+    by_repeat = draw(st.booleans())
+    for gates, times in stretches:
+        if by_repeat:
+            body = Circuit(c.registers)
+            for g in gates:
+                body.append(g)
+            c.repeat(body, times)
+        else:
+            for g in gates * times:
+                c.append(g)
     for _ in range(draw(st.integers(0, 3))):
         for g in draw(small_gates(n)):
             c.append(g)
@@ -623,8 +739,8 @@ class TestLoweredMetrics:
     @settings(max_examples=300, deadline=None)
     @given(repeated_runs())
     def test_repeated_runs(self, c):
-        # the skip of whole repeats in the walker and the census, against
-        # the expansion and the lowering, which have no lookup to skip at
+        # the walker and the census on blocks and on flat repeats, against
+        # the expansion and the lowering, which carry no blocks
         assert_lowered_metrics_exact(c)
         flat = expanded(c)
         assert metrics(c) == metrics(flat)

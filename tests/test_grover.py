@@ -485,11 +485,11 @@ class TestGroverSearch:
 class TestLinearConstruction:
     @pytest.mark.parametrize("fold_y", [False, True], ids=["build_grover_search", "fold_y"])
     def test_each_iteration_writes_its_gates_once(self, fold_y, monkeypatch):
-        """Gates written by append and extend, counted without timing:
-        going from k to k' iterations writes exactly the gates the extra
-        iterations add, so no earlier iteration is copied again."""
+        """Gates written by append, extend and repeat, counted without
+        timing: going from k to k' iterations writes exactly the gates the
+        extra iterations add, so no earlier iteration is copied again."""
         written = [0]
-        append, extend = Circuit.append, Circuit.extend
+        append, extend, repeat = Circuit.append, Circuit.extend, Circuit.repeat
 
         def counting_append(self, gate):
             written[0] += 1
@@ -499,8 +499,13 @@ class TestLinearConstruction:
             written[0] += len(other.gates)
             extend(self, other, mapping)
 
+        def counting_repeat(self, body, t):
+            written[0] += t * len(body.gates)
+            repeat(self, body, t)
+
         monkeypatch.setattr(Circuit, "append", counting_append)
         monkeypatch.setattr(Circuit, "extend", counting_extend)
+        monkeypatch.setattr(Circuit, "repeat", counting_repeat)
         inst = make_instance(16, 8, {3, 9}, seed=18)
         cost, size = {}, {}
         for k in (1, 2, 4):

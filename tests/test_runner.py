@@ -3,11 +3,18 @@ import random
 
 import pytest
 
-from qvmp.bitlinalg import BitMatrix, format_matrix, matmul, random_matrix
+from qvmp.bitlinalg import (
+    BitMatrix,
+    format_matrix,
+    matmul,
+    mismatch_rows,
+    random_matrix,
+    random_vector,
+)
 from qvmp.circuit import dump
 import qvmp.simulator as simulator
 from qvmp.errors import ContractError, DimensionError, FormatError, ResourceError
-from qvmp.grover import build_grover_search, plan_iterations
+from qvmp.grover import QvmpInstance, build_grover_search, plan_iterations
 from qvmp.runner import (
     DEFAULT_METRICS_GRID,
     METRICS_FIELDS,
@@ -284,6 +291,16 @@ class TestVerify:
             qvmp_verify(BitMatrix.identity(4), BitMatrix.identity(4), BitMatrix.identity(3), cfg)
         with pytest.raises(DimensionError):
             qvmp_verify(BitMatrix.identity(2), BitMatrix.identity(2), BitMatrix.identity(2), cfg)
+
+    def test_row_check_agrees_with_mismatch_rows(self):
+        # the candidate check of qvmp_verify reads one row of A, not the answer
+        rng = random.Random(23)
+        for _ in range(40):
+            n, m = rng.choice([4, 8, 16, 32]), rng.randint(1, 20)
+            inst = QvmpInstance(random_matrix(n, m, rng), random_vector(m, rng),
+                                random_vector(n, rng))
+            checked = {j for j in range(n) if inst.matrix.row(j).dot(inst.y) != inst.z[j]}
+            assert checked == mismatch_rows(inst.matrix, inst.y, inst.z)
 
 
 class TestDetectionRate:
