@@ -29,7 +29,6 @@ __all__ = [
     "parse_matrix",
     "format_matrix",
     "load_matrix",
-    "save_matrix",
 ]
 
 
@@ -81,9 +80,6 @@ class BitVector:
         if self.length != other.length:
             raise DimensionError(f"length mismatch: {self.length} vs {other.length}")
         return (self.bits & other.bits).bit_count() & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
     def to_bits(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(self.length)]
@@ -323,8 +319,3 @@ def load_matrix(path: str) -> BitMatrix:
         except UnicodeDecodeError as e:
             raise FormatError(f"matrix file {path} is not UTF-8 text: {e}") from e
     return parse_matrix(text)
-
-
-def save_matrix(m: BitMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(format_matrix(m))

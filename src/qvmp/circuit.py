@@ -13,11 +13,11 @@ select-write-unselect expansion (``_expansion``), which ``lower`` emits
 and which ``gate_counts``, ``depth``, ``metrics`` and ``lowered_metrics``
 count; the simulator applies it directly. The counts read one census of
 (kind, control count) (``_census``), and the depths before and after
-lowering come from one layering walker (``_depth``). It lays a lookup
-write by write (``_lay_rows``) only until each data qubit has been written
-once and around zero-word rows, and every other row in closed form from
-its popcount and its X gates (``_lay_lookup``): O(n + prefix writes + m)
-steps per lookup of n rows and m data qubits, not one per set table bit.
+lowering come from one layering walker (``_depth``). It lays each lookup
+row from the previous row's last write (``_lay_lookup``) and reads a row
+write by write only where it writes a data qubit for the first time:
+O(n + m) steps per lookup of n rows and m data qubits, plus the writes of
+at most m such rows, not one step per set table bit.
 
 ``Circuit.repeat(body, t)`` appends a body's gates t times and records
 them as one block (start, len(body), t) in ``blocks``; ``gates`` stays the
@@ -32,7 +32,6 @@ written in (``reverse``).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -43,7 +42,7 @@ __all__ = [
     "X", "H", "Z", "CX", "CCX", "MCX", "MCZ", "LOOKUP", "MEASURE",
     "QubitRef", "Gate", "Circuit",
     "compose", "inverse", "depth", "gate_counts", "lower", "lowered_metrics",
-    "dump", "metrics", "metrics_json",
+    "dump", "metrics",
 ]
 
 X = "x"
@@ -433,68 +432,39 @@ def _close_row(level: list[int], controls: tuple[int, ...], layer: int,
     level[controls[-1]] = layer
 
 
-def _lay_rows(level: list[int], controls: tuple[int, ...], targets: tuple[int, ...],
-              rows: Sequence, anc0: int | None) -> None:
-    """Lay rows of X gates controlled by ``controls`` onto a ``_depth``
-    level table, write by write.
-
-    A row is (flips, writes), as ``_row`` gives them: an X on each flipped
-    control before and after the row, and one controlled X onto each
-    written target. The writes share their controls, so each sits at
-    max(previous write + 1, target level + 1). With ``anc0`` and three or
-    more controls, each write is instead a v-chain on the ancillas from
-    ``anc0``, as ``lower`` writes it: the first chain is laid gate by gate,
-    each later middle ccx sits at max(previous middle + 2k - 3, target
-    level + 1) (its compute half starts right after the previous
-    uncompute half ends on the controls), and the chain closes once per
-    row (``_close_row``).
-    """
-    k = len(controls)
-    if k < 3:
-        anc0 = None
-    stride = 1 if anc0 is None else 2 * k - 3
-    for flips, writes in rows:
-        for q in flips:
-            level[q] += 1
-        if writes:
-            if anc0 is not None:
-                lv = max(level[controls[0]], level[controls[1]], level[anc0]) + 1
-                for i in range(1, k - 2):
-                    lv = max(level[controls[i + 1]], lv, level[anc0 + i]) + 1
-                earliest = max(level[controls[-1]], lv) + 1
-            else:
-                earliest = max([level[q] for q in controls]) + 1
-            for t in writes:
-                layer = level[t] + 1
-                if layer < earliest:
-                    layer = earliest
-                level[t] = layer
-                earliest = layer + stride
-            _close_row(level, controls, layer, anc0)
-        for q in flips:
-            level[q] += 1
+def _earliest(level: list[int], controls: tuple[int, ...], anc0: int | None) -> int:
+    """The earliest layer of a write on ``controls``, from the levels they
+    and the ancillas from ``anc0`` stand at: the middle ccx of a v-chain
+    whose compute half is laid gate by gate (``anc0`` not None), else one
+    after the deepest control."""
+    if anc0 is None:
+        return max([level[q] for q in controls]) + 1
+    lv = max(level[controls[0]], level[controls[1]], level[anc0]) + 1
+    for i in range(1, len(controls) - 2):
+        lv = max(level[controls[i + 1]], lv, level[anc0 + i]) + 1
+    return max(level[controls[-1]], lv) + 1
 
 
 def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> None:
-    """Lay a lookup's expansion onto a ``_depth`` level table, as
-    ``_lay_rows`` would lay all its rows. Per-write work is done only where
-    a write can be late.
+    """Lay a lookup's expansion onto a ``_depth`` level table, each row from
+    the previous row's last write.
 
-    Every row uses all address qubits, so a row starts after the previous
-    row ends on them, and a data qubit written before in this lookup sits
-    at or below L, the layer of the previous row's last write. Once every
-    bit of the table's OR has been written, a row after a row with writes
-    therefore lays in closed form: its writes land at start + i·stride,
-    start = L + stride + d, where stride is 2k - 3 for a v-chain and 1
-    otherwise, and d is the most X gates (0, 1 or 2: the previous row's
-    closing ones and this row's opening ones) on one address qubit the
-    first write waits on: every address qubit unchained, c_0 and c_1
-    chained. Only the rows before that point, the zero-word rows and the
-    row after each zero-word row go through ``_lay_rows``; the controls and
-    ancillas are set from the closed-form rows' L before such a row and
-    after the last row, and each data qubit from its last write by a
-    backward scan that stops once the table's OR is covered. That is
-    O(n + prefix writes + m) per lookup, not one step per set table bit.
+    A row's writes share the address qubits and, as v-chains (``anc0``,
+    k >= 3 of them), the ancillas, so each sits stride = 2k - 3 (1
+    unchained) after the one before, or one after its target's level if
+    that is later. After a row with writes, ``_close_row`` leaves the
+    address qubits and ancillas at fixed offsets from its last write L, so
+    the next row's first write waits until start = L + stride + d, d the
+    most X gates (1 or 2: the previous row's closing ones and this row's
+    opening ones) on one address qubit that write waits on: every address
+    qubit unchained, c_0 and c_1 chained. The first row and a row after a
+    zero-word row start from the level table instead (``_earliest``). A
+    data qubit written before in this lookup sits at or below L, even
+    where its level entry is stale, so only a row that holds a first write
+    is laid write by write; every other row's writes land at
+    start + i·stride. The address and ancilla levels are written from L
+    only before a zero-word row and after the last row, and each data
+    qubit from its last write by a backward scan.
     """
     controls, targets, table, reverse = g.controls, g.targets, g.table, g.reverse
     n, k = len(table), len(controls)
@@ -502,51 +472,45 @@ def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> None:
         anc0 = None
     stride = 1 if anc0 is None else 2 * k - 3
     mask = n - 1 if anc0 is None else 3  # the address bits the first write waits on
-    cover = 0
-    for word in table:
-        cover |= word
-    seen = 0  # data bits written so far
-    full: list = []  # rows waiting for _lay_rows
-    last = None  # L, while the level table lags behind closed-form rows
-    starts: dict[int, int] = {}  # written position -> first write layer, closed form
-    prev = prev_word = 0  # the previous row's index and word
+    written = 0  # data bits written so far
+    last = None  # L, while the level table lags behind it
+    starts: dict[int, int] = {}  # row laid in closed form -> its first write's layer
+    prev = 0  # the previous row with writes
 
-    def catch_up() -> None:
-        # the close and closing X gates of row ``prev``, laid in closed form
-        _close_row(level, controls, last, anc0)
+    def flip(r: int, x: int) -> None:
+        # x X gates on each address qubit that row r selects on
         for i, q in enumerate(controls):
-            if not prev >> i & 1:
-                level[q] += 1
+            if not r >> i & 1:
+                level[q] += x
 
     for j in range(n):
         r = n - 1 - j if reverse else j
         word = table[r]
-        if seen != cover or not word or not prev_word:  # walked write by write
-            if last is not None:
-                catch_up()
+        if not word:
+            if last is not None:  # the close and closing X gates of row prev
+                _close_row(level, controls, last, anc0)
+                flip(prev, 1)
                 last = None
-            full.append(_row(g, j))
-            seen |= word
+            flip(r, 2)
+            continue
+        if last is None:
+            flip(r, 1)
+            start = _earliest(level, controls, anc0)
+        else:  # rows prev and r differ in bit 0, so one of them flips c_0
+            start = last + stride + (2 if ~prev & ~r & mask else 1)
+        if word & ~written:
+            written |= word
+            last = start - stride
+            for t in _row(g, j)[1]:
+                last = max(level[t] + 1, last + stride)
+                level[t] = last
         else:
-            if full:
-                _lay_rows(level, controls, targets, full, anc0)
-                full = []
-                # its last write is on its word's top bit, or its lowest one reversed
-                w = prev_word & -prev_word if reverse else prev_word
-                last = level[targets[w.bit_length() - 1]]
-            if ~prev & ~r & mask:
-                d = 2
-            elif (~prev | ~r) & mask:
-                d = 1
-            else:
-                d = 0
-            starts[j] = start = last + stride + d
+            starts[j] = start
             last = start + (word.bit_count() - 1) * stride
-        prev, prev_word = r, word
-    if full:
-        _lay_rows(level, controls, targets, full, anc0)
-    elif last is not None:
-        catch_up()
+        prev = r
+    if last is not None:
+        _close_row(level, controls, last, anc0)
+        flip(prev, 1)
     if starts:
         done = 0
         for j in range(n - 1, -1, -1):
@@ -561,7 +525,7 @@ def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> None:
                     before = word >> i + 1 if reverse else word & low - 1
                     level[targets[i]] = start + before.bit_count() * stride
             done |= word
-            if done == cover:
+            if done == written:
                 break
 
 
@@ -569,13 +533,13 @@ def _depth(c: Circuit, anc0: int | None) -> int:
     """Greedy layering of ``c`` (``anc0`` None) or of ``lower(c)`` (``anc0``
     the first ancilla, ``c.num_qubits``), on one level table per qubit.
 
-    A lookup is laid by ``_lay_lookup``, in closed form past each data
-    qubit's first write. Lowered, an mcx is one ``_lay_rows`` row with no
-    flips, so k >= 3 controls lay a v-chain, and an mcz is that row with
-    one layer (an h) on its target before and after it. Every other gate
-    is one layer after the deepest earlier gate sharing any of its qubits;
-    measurement counts as a gate. Levels never fall, so the depth is the
-    deepest level at the end.
+    A lookup is laid by ``_lay_lookup``, each row from the previous row's
+    last write. Lowered, an mcx or mcz is one write laid from
+    ``_earliest`` to ``_close_row``, a v-chain from three controls, and an
+    mcz adds one layer (an h) on its target before and after it. Every
+    other gate is one layer after the deepest earlier gate sharing any of
+    its qubits; measurement counts as a gate. Levels never fall, so the
+    depth is the deepest level at the end.
 
     A block of t passes of a body is laid pass by pass (``_lay_block``)
     until, at the body's start or one of its lookups, every level that
@@ -624,11 +588,14 @@ def _lay(level: list[int], gates: list[Gate], anc0: int | None) -> None:
         if kind == LOOKUP:
             _lay_lookup(level, g, anc0)
         elif anc0 is not None and (kind == MCX or kind == MCZ):
+            controls, t = g.controls, g.targets[0]
+            chain = anc0 if len(controls) >= 3 else None
             if kind == MCZ:
-                level[g.targets[0]] += 1
-            _lay_rows(level, g.controls, g.targets, (((), g.targets),), anc0)
+                level[t] += 1
+            level[t] = layer = max(level[t] + 1, _earliest(level, controls, chain))
+            _close_row(level, controls, layer, chain)
             if kind == MCZ:
-                level[g.targets[0]] += 1
+                level[t] += 1
         else:
             qubits = g.controls + g.targets
             layer = 0
@@ -643,8 +610,8 @@ def _lay(level: list[int], gates: list[Gate], anc0: int | None) -> None:
 def depth(c: Circuit) -> int:
     """Greedy layering: each gate sits one layer after the deepest earlier
     gate sharing any of its qubits. Measurement counts as a gate, and a
-    lookup as its expansion, laid in closed form past each data qubit's
-    first write (``_lay_lookup``)."""
+    lookup as its expansion, each row laid from the previous row's last
+    write (``_lay_lookup``)."""
     return _depth(c, None)
 
 
@@ -782,7 +749,3 @@ def metrics(c: Circuit) -> dict:
         "counts": counts,
         "total_gates": sum(counts.values()),
     }
-
-
-def metrics_json(c: Circuit) -> str:
-    return json.dumps(metrics(c), sort_keys=True)

@@ -74,12 +74,17 @@ class QvmpInstance:
         return frozenset(mismatch_rows(self.matrix, self.y, self.z))
 
 
+# the iteration modes that plan from the solution count, the ground truth
+_COUNTED_MODES = ("optimal", "dual")
+
+
 @dataclass(frozen=True)
 class GroverPlan:
-    """Iteration schedule for a search space of size n with M solutions."""
+    """Iteration schedule for a search space of size n with M solutions;
+    M is None for a plan made without it."""
 
     n: int
-    solution_count: int
+    solution_count: int | None
     n_optimal: int | None
     n_qvmp: int
     iterations: int
@@ -104,7 +109,7 @@ def qvmp_iterations(n: int) -> int:
     return k
 
 
-def plan_iterations(n: int, solution_count: int, mode: str = "optimal",
+def plan_iterations(n: int, solution_count: int | None, mode: str = "optimal",
                     explicit: int | None = None) -> GroverPlan:
     """Fill in the iteration schedule for the requested mode.
 
@@ -112,13 +117,20 @@ def plan_iterations(n: int, solution_count: int, mode: str = "optimal",
     iterations: the address marginal is uniform regardless). qvmp uses the
     count-independent quartic-root schedule. dual plans against the
     complement (searching for matching rows instead). explicit passes a
-    user count through.
+    user count through. qvmp and explicit also plan without the count
+    (``solution_count`` None), which leaves ``n_optimal`` None and
+    ``dual_recommended`` False; optimal and dual need it.
     """
     if n < 1 or n & (n - 1):
         raise DimensionError(f"search space must be a power of two, got {n}")
-    if not 0 <= solution_count <= n:
+    if solution_count is None:
+        if mode in _COUNTED_MODES:
+            raise ContractError(f"{mode} mode needs the solution count")
+        n_opt = None
+    elif not 0 <= solution_count <= n:
         raise ContractError(f"solution count {solution_count} outside [0, {n}]")
-    n_opt = optimal_iterations(n, solution_count)
+    else:
+        n_opt = optimal_iterations(n, solution_count)
     n_qvmp = qvmp_iterations(n)
     dual_recommended = n_opt == 0
     if mode == "optimal":
@@ -276,8 +288,9 @@ def scan_success_probability(inst: QvmpInstance, max_iters: int,
     """Exact probability mass on the solution addresses after k iterations,
     for k = 0..max_iters. In dual mode the tracked set is the matching rows.
     The state is carried across k, so the scan evolves max_iters
-    iterations in all. This is the one function of this module that
-    simulates, so the engine (and NumPy) loads at its first call."""
+    iterations in all, on the compact registers (``fold_y``) that
+    ``qvmp_verify`` simulates. This is the one function of this module
+    that simulates, so the engine (and NumPy) loads at its first call."""
     from .simulator import _evolve
 
     if max_iters < 1:
@@ -287,8 +300,9 @@ def scan_success_probability(inst: QvmpInstance, max_iters: int,
         tracked = set(range(inst.n)) - tracked
     # Address qubit i is global qubit i, so marginal index j is address j.
     address = list(range(inst.address_bits))
-    step = _grover_iteration(inst, dual, False)
-    state = _evolve(build_grover_search(inst, 0, dual=dual, measure=False))
+    step = _grover_iteration(inst, dual, True)
+    state = _evolve(_appended(_search_registers(inst, True),
+                              [Gate(H, (), (q,)) for q in address]))
     out = []
     for k in range(max_iters + 1):
         if k:

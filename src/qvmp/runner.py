@@ -28,7 +28,7 @@ from .bitlinalg import (
     random_vector,
 )
 from .errors import ContractError, DimensionError, FormatError
-from .grover import QvmpInstance, build_grover_search, plan_iterations
+from .grover import _COUNTED_MODES, QvmpInstance, build_grover_search, plan_iterations
 
 if TYPE_CHECKING:
     from .simulator import Histogram
@@ -149,20 +149,21 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
 
     Per block and trial: draw a random nonzero x, compute y = B_i·x and
     z = C_i·x classically, search for a row with (A·y)_j != z_j, and
-    confirm the candidate j by that one row. The solution count used for
-    iteration planning comes from the classical ground truth; with zero
-    solutions the trial plans zero iterations, since the address marginal
-    stays uniform anyway. Such a trial's circuit holds only the address
-    register and does not depend on (y, z): it is built and evolved at the
-    first such trial, and every later one samples that evolution with its
-    own shot seed, so it adds no build time to ``timings["build"]`` and
-    only its sampling to ``timings["simulate"]``. ``metrics`` describes
-    the widest trial (most iterations), including under ``engine`` the
-    simulator's stats for it: the engine, always "sparse", the peak
-    support and the pruned mass. Its lowered metrics are computed once,
-    when the verdict is reached, by ``circuit.lowered_metrics`` without
-    building the lowered circuit, and ``timings["lower"]`` times that
-    call.
+    confirm the candidate j by that one row. The optimal and dual modes
+    plan from the solution count, which comes from the classical ground
+    truth; qvmp and explicit plan without reading it. With zero solutions
+    an optimal trial plans zero iterations, since the address marginal
+    stays uniform anyway. A trial that plans none has a circuit that holds
+    only the address register and does not depend on (y, z): it is built
+    and evolved at the first such trial, and every later one samples that
+    evolution with its own shot seed, so it adds no build time to
+    ``timings["build"]`` and only its sampling to ``timings["simulate"]``.
+    ``metrics`` describes the widest trial (most iterations), including
+    under ``engine`` the simulator's stats for it: the engine, always
+    "sparse", the peak support and the pruned mass. Its lowered metrics
+    are computed once, when the verdict is reached, by
+    ``circuit.lowered_metrics`` without building the lowered circuit, and
+    ``timings["lower"]`` times that call.
     """
     from .simulator import _outcomes
 
@@ -206,9 +207,8 @@ def qvmp_verify(a: BitMatrix, b: BitMatrix, c: BitMatrix, cfg: ExperimentConfig)
             y = matvec(b_i, x)
             z = matvec(c_i, x)
             inst = QvmpInstance(a, y, z)
-            solution_count = len(inst.solutions)
-            plan = plan_iterations(n, solution_count, cfg.iteration_mode,
-                                   cfg.explicit_iterations)
+            count = len(inst.solutions) if cfg.iteration_mode in _COUNTED_MODES else None
+            plan = plan_iterations(n, count, cfg.iteration_mode, cfg.explicit_iterations)
             if plan.iterations or blank is None:
                 t0 = time.perf_counter()
                 search = build_grover_search(inst, plan.iterations, dual=dual, fold_y=True)
@@ -289,11 +289,12 @@ def metrics_from_csv(text: str) -> list[dict]:
 
 def emit_histogram(inst: QvmpInstance, plan, shots: int, seed: int) -> dict:
     """Sampled counts and exact probabilities for every address string,
-    both from one evolution of the search circuit."""
+    both from one evolution of the compact search circuit (``fold_y``), as
+    ``qvmp_verify`` simulates it."""
     from .simulator import _outcomes
 
     dual = plan.mode == "dual"
-    search = build_grover_search(inst, plan.iterations, dual=dual)
+    search = build_grover_search(inst, plan.iterations, dual=dual, fold_y=True)
     outcomes = _outcomes(search)
     hist = outcomes.sample(shots, seed)
     return {

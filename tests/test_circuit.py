@@ -768,6 +768,29 @@ class TestLoweredMetrics:
         # the whole repeats and the last reverse lookup and diffuser are lifted
         assert lays == [3] * 8
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_only_rows_with_a_first_write_are_read_write_by_write(self, monkeypatch, reverse):
+        # 16 rows onto 2 data qubits, in laying order: the second data bit is
+        # first written at the last row, and zero-word rows sit between. A
+        # lay reads a row write by write (_row) only where it holds a first
+        # write, so at most popcount(OR) = 2 rows, and the depths stay exact.
+        words = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 3)
+        c = Circuit((("q", 7),))
+        c.mcx([0, 1, 2], 4)  # the data qubits start late
+        c.cx(6, 5)
+        c.append(Gate(LOOKUP, (0, 1, 2, 3), (4, 5), table=words[::-1] if reverse else words,
+                      reverse=reverse))
+        c.mcz([3, 4, 5], 6)
+        row = circuit_module._row
+        calls = []
+        monkeypatch.setattr(circuit_module, "_row", lambda *a: calls.append(a) or row(*a))
+        for walk in (metrics, lowered_metrics):
+            calls.clear()
+            walk(c)
+            assert len(calls) <= 2
+        assert_lowered_metrics_exact(c)
+        assert metrics(c)["depth"] == layered_depth(expanded(c).gates)
+
     def test_empty(self):
         assert lowered_metrics(Circuit((("q", 2),))) == metrics(Circuit((("q", 2),)))
 

@@ -124,6 +124,20 @@ class TestHistogramCommand:
         assert "bitstring,count,probability" in capsys.readouterr().out
 
 
+    def test_wide_search_simulates_the_compact_form(self, tmp_path):
+        # log2 32 + 2·32 + 1 = 70 qubits unfolded, past the sparse index
+        # limit; the compact form verify simulates has 38
+        out = tmp_path / "hist.json"
+        code = main(["histogram", "--n", "32", "--m", "32", "--mismatches", "3,17",
+                     "--shots", "512", "--out", str(out), "--format", "json"])
+        assert code == 0
+        obj = json.loads(out.read_text())
+        assert sum(obj["counts"].values()) == 512
+        assert len(obj["probabilities"]) == 32
+        assert abs(sum(obj["probabilities"].values()) - 1) < 1e-9
+        marked = obj["probabilities"][format(3, "05b")] + obj["probabilities"][format(17, "05b")]
+        assert marked > 0.9
+
     def test_negative_seed_exit_two(self, capsys):
         assert main(["histogram", "--n", "4", "--m", "2", "--shots", "16", "--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -187,6 +201,17 @@ class TestScanCommand:
     def test_negative_width_exit_two(self, capsys):
         assert main(["scan", "--n", "4", "--m", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_wide_scan_simulates_the_compact_form(self, capsys):
+        # 3 + 2·30 + 1 = 64 qubits unfolded; the compact form has 34
+        code = main(["scan", "--n", "8", "--m", "30", "--mismatches", "2,5,7",
+                     "--max-iters", "3"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        values = {int(k): float(p) for k, p in (ln.split(",") for ln in lines[1:])}
+        assert sorted(values) == [0, 1, 2, 3]
+        assert abs(values[0] - 0.375) < 1e-9
+        assert abs(values[1] - 27 / 32) < 1e-9
 
     def test_dual_scan(self, capsys):
         code = main([

@@ -380,6 +380,23 @@ class TestPlanning:
         plan = plan_iterations(8, 5, "dual")
         assert plan.iterations == optimal_iterations(8, 3) == 1
 
+    def test_count_free_plans(self):
+        # qvmp and explicit plan without the solution count; optimal and
+        # dual plan from it and refuse to go without
+        plan = plan_iterations(16, None, "qvmp")
+        assert (plan.solution_count, plan.n_optimal, plan.iterations) == (None, None, 2)
+        assert not plan.dual_recommended
+        plan = plan_iterations(16, None, "explicit", explicit=5)
+        assert (plan.solution_count, plan.n_optimal, plan.iterations) == (None, None, 5)
+        assert not plan.dual_recommended
+        for mode in ("optimal", "dual"):
+            with pytest.raises(ContractError, match="needs the solution count"):
+                plan_iterations(16, None, mode)
+        with pytest.raises(ContractError):
+            plan_iterations(16, None, "explicit")
+        with pytest.raises(ContractError):
+            plan_iterations(16, None, "bogus")
+
     def test_solution_count_bounds(self):
         with pytest.raises(ContractError):
             plan_iterations(8, 9, "optimal")

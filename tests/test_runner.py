@@ -225,6 +225,31 @@ class TestVerify:
             assert 0 in planned
             assert len(evolved) == 1 + sum(k > 0 for k in planned)
 
+    @pytest.mark.parametrize("mode,explicit", [("qvmp", None), ("explicit", 2)])
+    def test_count_free_modes_read_no_ground_truth(self, monkeypatch, mode, explicit):
+        # qvmp and explicit plan without the solution count and check a
+        # candidate by its one row, so no verdict computes mismatch_rows
+        import qvmp.grover as grover
+
+        calls = []
+        mismatch_rows = grover.mismatch_rows
+        monkeypatch.setattr(grover, "mismatch_rows",
+                            lambda *a: calls.append(1) or mismatch_rows(*a))
+        for seed in range(3):
+            a, b, c, bad, row, _ = flipped_product(16, 1000 + seed)
+            for iteration_mode, iterations in ((mode, explicit), ("optimal", None)):
+                cfg = ExperimentConfig(n=16, m=16, mismatches=0, iteration_mode=iteration_mode,
+                                       explicit_iterations=iterations, shots=256, seed=seed,
+                                       trials=4)
+                calls.clear()
+                assert qvmp_verify(a, b, c, cfg).decision == "consistent"
+                report = qvmp_verify(a, b, bad, cfg)
+                assert report.witness is None or report.witness[1] == row
+                if iteration_mode == mode:
+                    assert calls == []
+                else:  # optimal plans from the count, one call per trial
+                    assert calls
+
     def test_zero_iteration_search_does_not_depend_on_the_instance(self):
         # what lets qvmp_verify reuse one evolution for all such trials
         for n in (4, 16, 64):
