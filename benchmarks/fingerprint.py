@@ -35,8 +35,9 @@ byte-identical. The families are
   with an H on each qubit, so its gates run at full support.
 
 The unlowered ``search`` and ``builders`` dumps show a table lookup as one
-``lookup`` gate since that op was added, so only the lowered families
-compare across that change.
+``lookup`` gate since that op was added, and a diffuser as one ``diffuse``
+gate since that op was added, so only the lowered families compare across
+those two changes; the metrics in ``search`` stay the same across both.
 
 Only long-standing public API is used, so the script runs unchanged on
 older checkouts, except the ``statevector`` family: it needs the lookup

@@ -3,21 +3,26 @@
 A circuit is an ordered list of gates over named qubit registers. Register
 declaration order fixes the global qubit indices, and index 0 within a
 register is its least-significant bit. The gate set is
-{x, h, z, cx, ccx, mcx, mcz, lookup, measure}; control counts are canonical
-(one control is cx, two is ccx, three or more is mcx).
+{x, h, z, cx, ccx, mcx, mcz, lookup, diffuse, measure}; control counts are
+canonical (one control is cx, two is ccx, three or more is mcx).
 
 A lookup is a read-only table lookup as one gate: its controls are the
 address qubits, its targets the data qubits, and ``table`` holds one word
-per address, so |r>|d> -> |r>|d xor table[r]>. It stands for a per-row
-select-write-unselect expansion (``_expansion``), which ``lower`` emits
-and which ``gate_counts``, ``depth``, ``metrics`` and ``lowered_metrics``
-count; the simulator applies it directly. The counts read one census of
-(kind, control count) (``_census``), and the depths before and after
-lowering come from one layering walker (``_depth``). It lays each lookup
-row from the previous row's last write (``_lay_lookup``) and reads a row
-write by write only where it writes a data qubit for the first time:
-O(n + m) steps per lookup of n rows and m data qubits, plus the writes of
-at most m such rows, not one step per set table bit.
+per address, so |r>|d> -> |r>|d xor table[r]>. A diffuse is Grover's
+inversion about the mean, I - 2|s><s|, as one gate whose targets are the
+register. Each stands for an expansion: a per-row select-write-unselect
+for a lookup (``_expansion``), and H and X layers around an X on the last
+register qubit controlled by the others for a diffuse
+(``_diffuse_expansion``). ``lower`` emits the expansions, and
+``gate_counts``, ``depth``, ``metrics`` and ``lowered_metrics`` count
+them; the simulator applies both gates directly. The counts read one
+census of (kind, control count) (``_census``), and the depths before and
+after lowering come from one layering walker (``_depth``). It lays a
+diffuse in closed form, and each lookup row from the previous row's last
+write (``_lay_lookup``), reading a row write by write only where it writes
+a data qubit for the first time: O(n + m) steps per lookup of n rows and
+m data qubits, plus the writes of at most m such rows, not one step per
+set table bit.
 
 ``Circuit.repeat(body, t)`` appends a body's gates t times and records
 them as one block (start, len(body), t) in ``blocks``; ``gates`` stays the
@@ -28,7 +33,7 @@ whatever the iteration count.
 
 Every unitary kind here is self-inverse, so inversion reverses the gate
 order; a lookup keeps its table and reverses the order its expansion is
-written in (``reverse``).
+written in (``reverse``), and a diffuse stays as it is.
 """
 from __future__ import annotations
 
@@ -39,7 +44,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import CompositionError, ContractError, InversionError
 
 __all__ = [
-    "X", "H", "Z", "CX", "CCX", "MCX", "MCZ", "LOOKUP", "MEASURE",
+    "X", "H", "Z", "CX", "CCX", "MCX", "MCZ", "LOOKUP", "DIFFUSE", "MEASURE",
     "QubitRef", "Gate", "Circuit",
     "compose", "inverse", "depth", "gate_counts", "lower", "lowered_metrics",
     "dump", "metrics",
@@ -53,9 +58,10 @@ CCX = "ccx"
 MCX = "mcx"
 MCZ = "mcz"
 LOOKUP = "lookup"
+DIFFUSE = "diffuse"
 MEASURE = "measure"
 
-KINDS = frozenset({X, H, Z, CX, CCX, MCX, MCZ, LOOKUP, MEASURE})
+KINDS = frozenset({X, H, Z, CX, CCX, MCX, MCZ, LOOKUP, DIFFUSE, MEASURE})
 BASIS_KINDS = frozenset({X, H, Z, CX, CCX, MEASURE})
 
 
@@ -165,6 +171,8 @@ class Circuit:
                 raise ContractError("lookup words must fit the data qubits")
         elif gate.table is not None or gate.reverse:
             raise ContractError("only a lookup carries a table")
+        if gate.kind == DIFFUSE and (gate.controls or not gate.targets):
+            raise ContractError("diffuse needs its register as targets and no controls")
         if gate.kind == MEASURE:
             if gate.classical is None or not 0 <= gate.classical < self.classical_bits:
                 raise ContractError("measure needs a declared classical bit")
@@ -280,6 +288,11 @@ class Circuit:
         self.append(Gate(LOOKUP, tuple(self._resolve(q) for q in address),
                          tuple(self._resolve(q) for q in data), table=tuple(table)))
 
+    def diffuse(self, qubits: Iterable) -> None:
+        """Inversion about the mean of the register ``qubits``, I - 2|s><s|
+        with |s> their uniform superposition."""
+        self.append(Gate(DIFFUSE, (), tuple(self._resolve(q) for q in qubits)))
+
     def measure(self, q, classical_bit: int) -> None:
         self.append(Gate(MEASURE, (), (self._resolve(q),), classical=classical_bit))
 
@@ -314,8 +327,10 @@ def compose(a: Circuit, b: Circuit, mapping: Sequence | None = None) -> Circuit:
 def inverse(c: Circuit) -> Circuit:
     """Reverse the gate order; every supported unitary is self-inverse. A
     lookup keeps its table and has its expansion written backwards, so
-    ``lower(inverse(c))`` is ``inverse(lower(c))``. The result has no
-    blocks, so its walk lays every pass; the depth stays exact."""
+    ``lower(inverse(c))`` is ``inverse(lower(c))``; a diffuse stays as it
+    is, so there the two differ only in the order of the commuting gates
+    within each of its H and X layers. The result has no blocks, so its
+    walk lays every pass; the depth stays exact."""
     if c.has_measurement():
         raise InversionError("cannot invert a circuit containing measurement")
     out = Circuit(c.registers, c.classical_bits)
@@ -360,12 +375,25 @@ def _expansion(g: Gate) -> list[Gate]:
     return gates
 
 
+def _diffuse_expansion(g: Gate) -> list[Gate]:
+    """The gates a diffuse stands for: H and X layers on the register, an X
+    on its last qubit controlled by the others between two H there (a
+    multi-controlled Z), then the X and H layers again."""
+    *controls, last = g.targets
+    hs = [Gate(H, (), (q,)) for q in g.targets]
+    xs = [Gate(X, (), (q,)) for q in g.targets]
+    core = [hs[-1], Gate(_x_kind(len(controls)), tuple(controls), (last,)), hs[-1]]
+    return hs + xs + core + xs + hs
+
+
 def _expanded(gates: list[Gate]) -> list[Gate]:
-    """``gates`` with each lookup replaced by its expansion."""
+    """``gates`` with each lookup and diffuse replaced by its expansion."""
     out: list[Gate] = []
     for g in gates:
         if g.kind == LOOKUP:
             out += _expansion(g)
+        elif g.kind == DIFFUSE:
+            out += _diffuse_expansion(g)
         else:
             out.append(g)
     return out
@@ -396,12 +424,18 @@ def _runs(c: Circuit) -> Iterator[tuple[list[Gate], int]]:
 
 def _census(c: Circuit) -> dict[tuple[str, int], int]:
     """Gates per (kind, control count) in first-appearance order, a lookup
-    counted as its expansion and a block as t times its body."""
+    or diffuse counted as its expansion and a block as t times its body.
+    A k-qubit diffuse is 2k + 2 h, 2k x and one (k-1)-control X, which
+    for k = 1 is one more x."""
     census: dict[tuple[str, int], int] = {}
     for gates, t in _runs(c):
         for g in gates:
             if g.kind == LOOKUP:
                 entries = _lookup_census(g)
+            elif g.kind == DIFFUSE:
+                k = len(g.targets)
+                entries = (((H, 0), 2 * k + 2), ((X, 0), 2 * k),
+                           ((_x_kind(k - 1), k - 1), 1))
             else:
                 entries = (((g.kind, len(g.controls)), 1),)
             for key, num in entries:
@@ -534,12 +568,13 @@ def _depth(c: Circuit, anc0: int | None) -> int:
     the first ancilla, ``c.num_qubits``), on one level table per qubit.
 
     A lookup is laid by ``_lay_lookup``, each row from the previous row's
-    last write. Lowered, an mcx or mcz is one write laid from
-    ``_earliest`` to ``_close_row``, a v-chain from three controls, and an
-    mcz adds one layer (an h) on its target before and after it. Every
-    other gate is one layer after the deepest earlier gate sharing any of
-    its qubits; measurement counts as a gate. Levels never fall, so the
-    depth is the deepest level at the end.
+    last write, and a diffuse as its expansion in closed form. Lowered, an
+    mcx or mcz is one write laid from ``_earliest`` to ``_close_row``, a
+    v-chain from three controls, and an mcz adds one layer (an h) on its
+    target before and after it. Every other gate is one layer after the
+    deepest earlier gate sharing any of its qubits; measurement counts as
+    a gate. Levels never fall, so the depth is the deepest level at the
+    end.
 
     A block of t passes of a body is laid pass by pass (``_lay_block``)
     until, at the body's start or one of its lookups, every level that
@@ -581,19 +616,40 @@ def _lay_block(level: list[int], body: list[Gate], t: int, anc0: int | None) -> 
     return level
 
 
+def _lay_write(level: list[int], controls: tuple[int, ...], t: int, anc0: int | None) -> None:
+    """Lay an X on ``t`` controlled by ``controls``: one layer after the
+    deepest of its qubits, or, lowered (``anc0`` not None) from three
+    controls, a v-chain from ``_earliest`` to ``_close_row``."""
+    chain = anc0 if len(controls) >= 3 else None
+    level[t] = layer = max(level[t] + 1, _earliest(level, controls, chain))
+    _close_row(level, controls, layer, chain)
+
+
 def _lay(level: list[int], gates: list[Gate], anc0: int | None) -> None:
     """Lay ``gates`` in order onto a ``_depth`` level table."""
     for g in gates:
         kind = g.kind
         if kind == LOOKUP:
             _lay_lookup(level, g, anc0)
+        elif kind == DIFFUSE:
+            # an H and an X on each qubit, the core (H, X controlled by the
+            # others, H) on the last, then the X and H layers again
+            *controls, t = qubits = g.targets
+            for q in qubits:
+                level[q] += 2
+            level[t] += 1
+            if controls:
+                _lay_write(level, tuple(controls), t, anc0)
+            else:
+                level[t] += 1
+            level[t] += 1
+            for q in qubits:
+                level[q] += 2
         elif anc0 is not None and (kind == MCX or kind == MCZ):
-            controls, t = g.controls, g.targets[0]
-            chain = anc0 if len(controls) >= 3 else None
+            t = g.targets[0]
             if kind == MCZ:
                 level[t] += 1
-            level[t] = layer = max(level[t] + 1, _earliest(level, controls, chain))
-            _close_row(level, controls, layer, chain)
+            _lay_write(level, g.controls, t, anc0)
             if kind == MCZ:
                 level[t] += 1
         else:
@@ -610,14 +666,14 @@ def _lay(level: list[int], gates: list[Gate], anc0: int | None) -> None:
 def depth(c: Circuit) -> int:
     """Greedy layering: each gate sits one layer after the deepest earlier
     gate sharing any of its qubits. Measurement counts as a gate, and a
-    lookup as its expansion, each row laid from the previous row's last
-    write (``_lay_lookup``)."""
+    lookup or diffuse as its expansion, each lookup row laid from the
+    previous row's last write (``_lay_lookup``)."""
     return _depth(c, None)
 
 
 def gate_counts(c: Circuit) -> dict[str, int]:
-    """Gates per kind in first-appearance order, a lookup counted as its
-    expansion."""
+    """Gates per kind in first-appearance order, a lookup or diffuse
+    counted as its expansion."""
     counts: dict[str, int] = {}
     for (kind, _), num in _census(c).items():
         counts[kind] = counts.get(kind, 0) + num
@@ -643,15 +699,16 @@ def lower(c: Circuit) -> Circuit:
     """Rewrite onto the {x, h, z, cx, ccx, measure} basis.
 
     mcx with k >= 3 controls becomes a clean-ancilla v-chain of 2k-3 ccx
-    gates; mcz becomes h(target), the mcx form, h(target); a lookup becomes
-    its expansion, each of whose writes lowers like an mcx. Ancillas live in
-    an appended register sized for the widest gate and are reused; each
-    v-chain uncomputes them back to |0>. The register is named "anc", or
-    "anc1", "anc2", ... when ``c`` declares "anc" already. The output is
-    built without ``append``: basis gates of ``c`` are valid already, and
-    the v-chains touch only ``c``'s gate qubits and the declared ancillas.
-    ``lowered_metrics`` gives ``metrics`` of the result without building it.
-    The result has no blocks, so its walk lays every pass.
+    gates; mcz becomes h(target), the mcx form, h(target); a lookup or
+    diffuse becomes its expansion, whose multi-controlled X gates lower
+    like an mcx. Ancillas live in an appended register sized for the
+    widest gate and are reused; each v-chain uncomputes them back to |0>.
+    The register is named "anc", or "anc1", "anc2", ... when ``c``
+    declares "anc" already. The output is built without ``append``: basis
+    gates of ``c`` are valid already, and the v-chains touch only ``c``'s
+    gate qubits and the declared ancillas. ``lowered_metrics`` gives
+    ``metrics`` of the result without building it. The result has no
+    blocks, so its walk lays every pass.
     """
     flat = _expanded(c.gates)
     n_anc = _ancilla_width(_census(c))
@@ -700,9 +757,10 @@ def lowered_metrics(c: Circuit) -> dict:
     over its gates, without building the lowered circuit.
 
     Gate counts follow from the census of (kind, control count): a k >= 3
-    control mcx lowers to 2k-3 ccx, an mcz adds two h, and a lookup counts
-    as its expansion. Depth lays each mcx, mcz and lookup write as the
-    v-chain ``lower`` writes on the ancillas after ``c``'s qubits.
+    control mcx lowers to 2k-3 ccx, an mcz adds two h, and a lookup or
+    diffuse counts as its expansion. Depth lays each mcx, mcz, lookup write
+    and diffuse core as the v-chain ``lower`` writes on the ancillas after
+    ``c``'s qubits.
     """
     census = _census(c)
     counts: dict[str, int] = {}

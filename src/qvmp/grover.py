@@ -4,8 +4,9 @@ The search circuit uses registers address (log2 n), a (m), y (m) and z (1),
 in that global order. One search oracle loads row j of the table [A | z]
 into a and z with a read-only-memory lookup, adds the inner product a·y
 into the z qubit, applies Z there, and uncomputes. A diffuser on the
-address register completes one Grover iteration; measuring the address
-register yields candidate row indices. That is log2(n) + 2m + 1 qubits.
+address register, one diffuse gate, completes one Grover iteration;
+measuring the address register yields candidate row indices. That is
+log2(n) + 2m + 1 qubits.
 
 The compact form (``fold_y``) is the same circuit partially evaluated on
 the classical y: each inner-product gate on a set y bit becomes a cx and
@@ -20,7 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .bitlinalg import BitMatrix, BitVector, append_column, mismatch_rows
-from .circuit import CCX, CX, H, LOOKUP, X, Z, Circuit, Gate, _x_kind
+from .circuit import CCX, CX, DIFFUSE, H, LOOKUP, X, Z, Circuit, Gate
 from .errors import ContractError, DimensionError
 
 __all__ = [
@@ -166,16 +167,6 @@ def _inner_product_gates(a: Sequence[int], b: Sequence[int], out: int) -> list[G
     return [Gate(CCX, (ai, bi), (out,)) for ai, bi in zip(a, b)]
 
 
-def _diffuser_gates(qubits: Sequence[int]) -> list[Gate]:
-    """Reflection about the uniform superposition on ``qubits``, as H and X
-    layers around a multi-controlled Z realized with H on the last qubit."""
-    *controls, last = qubits
-    hs = [Gate(H, (), (q,)) for q in qubits]
-    xs = [Gate(X, (), (q,)) for q in qubits]
-    core = [hs[-1], Gate(_x_kind(len(controls)), tuple(controls), (last,)), hs[-1]]
-    return hs + xs + core + xs + hs
-
-
 def build_qrom(table: BitMatrix) -> Circuit:
     """Read-only table lookup on registers address (log2 n) and data (m):
     |r>|0..0> -> |r>|row_r>, as one lookup gate."""
@@ -197,11 +188,14 @@ def build_inner_product(m: int) -> Circuit:
 
 
 def build_diffuser(k: int) -> Circuit:
-    """Reflection about the uniform superposition on a k-qubit register q."""
+    """Reflection about the uniform superposition on a k-qubit register q,
+    as one diffuse gate; ``lower`` writes it as H and X layers around a
+    multi-controlled Z."""
     if k < 1:
         raise DimensionError("diffuser needs at least one qubit")
     c = Circuit((("q", k),))
-    return _appended(c, _diffuser_gates(_wires(c, "q")))
+    c.diffuse(c.qubits("q"))
+    return c.freeze()
 
 
 def _search_registers(inst: QvmpInstance, fold_y: bool, classical_bits: int = 0) -> Circuit:
@@ -244,15 +238,16 @@ def build_oracle(inst: QvmpInstance, dual: bool = False, fold_y: bool = False) -
 def _grover_iteration(inst: QvmpInstance, dual: bool, fold_y: bool) -> Circuit:
     """One (oracle, diffuser) pair on the search registers."""
     c = _search_registers(inst, fold_y)
-    step = _oracle_gates(c, inst, dual, fold_y) + _diffuser_gates(_wires(c, "address"))
-    return _appended(c, step)
+    diffuser = Gate(DIFFUSE, (), tuple(_wires(c, "address")))
+    return _appended(c, _oracle_gates(c, inst, dual, fold_y) + [diffuser])
 
 
 def build_grover_search(inst: QvmpInstance, iterations: int, dual: bool = False, *,
                         fold_y: bool = False, measure: bool = True) -> Circuit:
     """Search circuit: uniform address superposition, y loaded by X gates,
     (oracle, diffuser) as one block of ``iterations`` passes, then, with
-    ``measure``, address qubit i measured into classical bit i.
+    ``measure``, address qubit i measured into classical bit i. Each
+    diffuser is one diffuse gate on the address register.
 
     ``fold_y`` builds the compact form that the verification driver
     simulates: the classical y register is folded into the oracle (see

@@ -15,17 +15,22 @@ matching entries, and H is a merge of sorted pairs: each entry finds its
 partner (its index with the qubit's bit flipped) by binary search in the
 sorted indices, both members of a present pair are rewritten in place, an
 entry is appended for each missing partner, and amplitudes that cancelled
-are pruned. Between diffusers every ancilla of a search circuit is a
-function of the address, so its support never exceeds the n addresses
-whatever the register width. A run accepts up to ``SPARSE_MAX_QUBITS``
-(62) qubits, the width of an int64 index.
+are pruned. A diffuse is one reflection about the mean per group of
+entries that agree outside its register (``_State.diffuse``), not the H
+and X layers it lowers to; address bits are gathered, and table words
+spread, with one shift and mask when the qubits are a contiguous
+ascending run. At each diffuser every ancilla of a search circuit is back
+at its loaded value, so the state is one group, and between diffusers
+every ancilla is a function of the address, so the support never exceeds
+the n addresses whatever the register width. A run accepts up to
+``SPARSE_MAX_QUBITS`` (62) qubits, the width of an int64 index.
 
 The qubit cap (``QVMP_SIM_MAX_QUBITS``, a nonnegative integer, default 26,
-or ``statevector``'s ``max_qubits``) bounds the amplitudes held: an H that
-leaves more than 2^cap entries (16 bytes each, as a dense complex128
-amplitude is), a ``statevector`` result or an outcome marginal wider than
-the cap raises ResourceError. At full support an H holds about twice the
-state's bytes at its peak.
+or ``statevector``'s ``max_qubits``) bounds the amplitudes held: an H or a
+diffuse that leaves more than 2^cap entries (16 bytes each, as a dense
+complex128 amplitude is), a ``statevector`` result or an outcome marginal
+wider than the cap raises ResourceError. At full support an H holds about
+twice the state's bytes at its peak, and a diffuse two and a half times.
 
 Measurement is two steps. ``_outcomes`` evolves a circuit that ends in
 measurement and marginalizes onto its measured qubits, once; the
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CCX, CX, H, LOOKUP, MCX, MCZ, MEASURE, X, Z, Circuit
+from .circuit import CCX, CX, DIFFUSE, H, LOOKUP, MCX, MCZ, MEASURE, X, Z, Circuit
 from .errors import ContractError, FormatError, ResourceError
 
 __all__ = [
@@ -165,8 +170,19 @@ def _scatter(n: int, index: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return dense
 
 
+def _run_start(qubits) -> int | None:
+    """The first of ``qubits`` when they are a contiguous ascending run,
+    else None."""
+    if qubits and tuple(qubits) == tuple(range(qubits[0], qubits[0] + len(qubits))):
+        return qubits[0]
+    return None
+
+
 def _spread(value: int, qubits) -> int:
     """Index bits holding ``value``: bit i of it lands on ``qubits[i]``."""
+    start = _run_start(qubits)
+    if start is not None:
+        return (value & ((1 << len(qubits)) - 1)) << start
     out = 0
     for i, q in enumerate(qubits):
         out |= ((value >> i) & 1) << q
@@ -176,6 +192,9 @@ def _spread(value: int, qubits) -> int:
 def _gather(index, qubits):
     """Inverse of ``_spread``: bit i of the result is bit ``qubits[i]`` of
     the int64 array ``index``."""
+    start = _run_start(qubits)
+    if start is not None:
+        return (index >> start) & ((1 << len(qubits)) - 1)
     out = 0
     for i, q in enumerate(qubits):
         out |= ((index >> q) & 1) << i
@@ -236,6 +255,60 @@ class _State:
         self.index, self.amp = index, amp
         return dropped
 
+    def diffuse(self, qubits: tuple[int, ...], cap: int) -> np.ndarray:
+        """Inversion about the mean on the register ``qubits``, I - 2|s><s|.
+        Returns the pruned amplitudes.
+
+        Entries are grouped by their index bits outside the register. In a
+        group whose amplitudes sum to S, register value j gets
+        a_j - (2/2^k)·S, with a_j = 0 where j is absent, so G groups make
+        G·2^k entries; that count is checked against 2^cap before they are
+        made (ResourceError, as for H). A group's new entries are its key
+        ORed with each value's index bits (``offsets``, built by doubling).
+        Arrays are released as soon as they are replaced, so that at full
+        support the peak stays under three times the state."""
+        k = len(qubits)
+        mask = 0
+        for q in qubits:
+            mask |= 1 << q
+        value = _gather(self.index, qubits)
+        rest = self.index & ~mask
+        self.index = None
+        order = np.argsort(rest)
+        rest = rest[order]
+        value = value[order]
+        amp, self.amp = self.amp, None
+        amp = amp[order]
+        del order
+        first = np.empty(rest.size, dtype=bool)  # where each group starts
+        first[0] = True
+        np.not_equal(rest[1:], rest[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        size = starts.size << k
+        if size > 1 << cap:
+            raise ResourceError(f"support of {size} amplitudes exceeds the cap of {cap} qubits")
+        keys = rest[starts]
+        del rest
+        pos = np.cumsum(first)  # each entry's group, from 1
+        del first
+        pos -= 1
+        pos <<= k
+        pos |= value
+        del value
+        new = np.repeat(np.add.reduceat(amp, starts) * (-2.0 / (1 << k)), 1 << k)
+        new[pos] += amp
+        del pos, amp
+        offsets = np.zeros(1, dtype=np.int64)
+        for q in qubits:
+            offsets = np.concatenate((offsets, offsets | (1 << q)))
+        index = (keys[:, None] | offsets).ravel()
+        keep = np.abs(new) > _PRUNE_AMPLITUDE
+        dropped = new[~keep]
+        if dropped.size:
+            index, new = index[keep], new[keep]
+        self.index, self.amp = index, new
+        return dropped
+
     def marginal(self, ordered: list[int]) -> np.ndarray:
         """Born probabilities over the ascending qubit list ``ordered``;
         index bit r is qubit ``ordered[r]``."""
@@ -284,8 +357,11 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
         kind = g.kind
         if kind == X:
             state.index ^= 1 << g.targets[0]
-        elif kind == H:
-            dropped = state.h(g.targets[0])
+        elif kind == H or kind == DIFFUSE:
+            if kind == H:
+                dropped = state.h(g.targets[0])
+            else:
+                dropped = state.diffuse(g.targets, limit)
             size = state.index.size
             if size > 1 << limit:
                 raise ResourceError(

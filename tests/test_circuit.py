@@ -9,6 +9,7 @@ from qvmp import circuit as circuit_module
 from qvmp.circuit import (
     CCX,
     CX,
+    DIFFUSE,
     H,
     LOOKUP,
     MCX,
@@ -29,6 +30,7 @@ from qvmp.circuit import (
 )
 from qvmp.errors import CompositionError, ContractError, InversionError
 from qvmp.grover import (
+    build_diffuser,
     build_grover_search,
     plan_iterations,
 )
@@ -701,8 +703,36 @@ def repeated_runs(draw):
     return c
 
 
+@st.composite
+def diffuse_circuits(draw, measure=True):
+    """``lowering_circuits`` gates with one to four diffuse gates written
+    between them, each on one qubit to all of them in any order; the tail
+    from a drawn point is one block repeated one to four times, so a
+    diffuse may sit inside a repeated body, as in a search. ``measure``
+    adds terminal measurements."""
+    base = draw(lowering_circuits(measure=False))
+    n = base.num_qubits
+    gates = list(base.gates)
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(range(n)))
+        gates.insert(draw(st.integers(0, len(gates))),
+                     Gate(DIFFUSE, (), tuple(order[:draw(st.integers(1, n))])))
+    cut = draw(st.integers(0, len(gates)))
+    c = Circuit(base.registers, n)
+    body = Circuit(base.registers)
+    for g in gates[:cut]:
+        c.append(g)
+    for g in gates[cut:]:
+        body.append(g)
+    c.repeat(body, draw(st.integers(1, 4)))
+    if measure:
+        for q in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+            c.measure(q, q)
+    return c
+
+
 def expanded(c):
-    """``c`` with every lookup replaced by its expansion."""
+    """``c`` with every lookup and diffuse replaced by its expansion."""
     out = Circuit(c.registers, c.classical_bits)
     out.gates = _expanded(c.gates)
     return out
@@ -910,6 +940,79 @@ class TestLookup:
     @given(lowering_circuits(measure=False))
     def test_lowering_commutes_with_inverse(self, c):
         assert lower(inverse(c)).gates == inverse(lower(c)).gates
+        assert inverse(inverse(c)).gates == c.gates
+
+
+class TestDiffuse:
+    def test_append_rejects_malformed_diffuses(self):
+        c = Circuit((("q", 3),))
+        bad = [
+            Gate(DIFFUSE, (), ()),  # no register
+            Gate(DIFFUSE, (0,), (1, 2)),  # a control
+            Gate(DIFFUSE, (), (0, 1), table=(0, 1, 0, 1)),  # a table
+            Gate(DIFFUSE, (), (0, 1), reverse=True),
+            Gate(DIFFUSE, (), (0, 0)),  # a repeated qubit
+            Gate(DIFFUSE, (), (0, 3)),  # an undeclared qubit
+        ]
+        for g in bad:
+            with pytest.raises(ContractError):
+                c.append(g)
+        assert c.gates == []
+        c.diffuse([2, 0])
+        assert c.gates == [Gate(DIFFUSE, (), (2, 0))]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_census_in_closed_form(self, k):
+        # 2k + 2 h, 2k x and one (k - 1)-control X, which folds into x, cx
+        # and ccx for k = 1, 2 and 3
+        core = {1: X, 2: CX, 3: CCX}.get(k, MCX)
+        want = {H: 2 * k + 2, X: 2 * k + (k == 1)} | ({} if k == 1 else {core: 1})
+        d = build_diffuser(k)
+        assert gate_counts(d) == want
+        assert list(gate_counts(d)) == list(gate_counts(expanded(d)))
+        assert metrics(d) == metrics(expanded(d))
+
+    def test_extend_with_mapping_keeps_the_register_order(self):
+        c = Circuit((("q", 5),))
+        c.extend(build_diffuser(3), [4, 0, 2])
+        assert c.gates == [Gate(DIFFUSE, (), (4, 0, 2))]
+        last_controlled = [g for g in lower(c).gates if g.controls]
+        assert last_controlled == [Gate(CCX, (4, 0), (2,))]
+
+    def test_inverse_keeps_the_gate(self):
+        c = Circuit((("q", 4),))
+        c.h(0)
+        c.diffuse([3, 1, 0])
+        c.cx(1, 2)
+        assert inverse(c).gates == c.gates[::-1]
+        round_trip = compose(c, inverse(c))
+        for basis in range(16):
+            amps = statevector(round_trip, initial=basis).amplitudes
+            assert abs(amps[basis] - 1.0) < 1e-12
+
+    def test_dump(self):
+        c = Circuit((("a", 2), ("z", 1)))
+        c.diffuse([c.qubit("z", 0), c.qubit("a", 0), c.qubit("a", 1)])
+        assert dump(c) == "DIFFUSE -> z[0],a[0],a[1]\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(diffuse_circuits())
+    def test_metrics_and_lowering_match_the_expansion(self, c):
+        flat = expanded(c)
+        assert metrics(c) == metrics(flat)
+        assert list(gate_counts(c)) == list(gate_counts(flat))
+        assert lowered_metrics(c) == lowered_metrics(flat)
+        assert list(lowered_metrics(c)["counts"]) == list(lowered_metrics(flat)["counts"])
+        assert dump(lower(c)) == dump(lower(flat))
+        assert metrics(c)["depth"] == layered_depth(flat.gates)
+        assert_lowered_metrics_exact(c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(diffuse_circuits(measure=False))
+    def test_lowering_commutes_with_inverse_up_to_layer_order(self, c):
+        # A diffuse is kept by inverse, so its H and X layers are not
+        # written backwards: the same gates and layers, not the same list.
+        assert metrics(lower(inverse(c))) == metrics(inverse(lower(c)))
         assert inverse(inverse(c)).gates == c.gates
 
 

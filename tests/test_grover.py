@@ -16,6 +16,7 @@ from qvmp.bitlinalg import (
 from qvmp.circuit import (
     CCX,
     CX,
+    DIFFUSE,
     H,
     LOOKUP,
     MCX,
@@ -28,6 +29,7 @@ from qvmp.circuit import (
     compose,
     gate_counts,
     inverse,
+    lower,
 )
 from qvmp.errors import ContractError, DimensionError
 from qvmp.grover import (
@@ -181,7 +183,8 @@ class TestInnerProduct:
 class TestDiffuser:
     def test_three_qubit_gate_sequence(self):
         d = build_diffuser(3)
-        kinds = [g.kind for g in d.gates]
+        assert d.gates == [Gate(DIFFUSE, (), (0, 1, 2))]
+        kinds = [g.kind for g in lower(d).gates]
         assert kinds == [H, H, H, X, X, X, H, CCX, H, X, X, X, H, H, H]
 
     def test_three_qubit_counts(self):

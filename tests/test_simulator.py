@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvmp.circuit import LOOKUP, Circuit, Gate, _expanded
+from qvmp.circuit import DIFFUSE, LOOKUP, Circuit, Gate, _expanded
 from qvmp.errors import ContractError, FormatError, ResourceError
 from qvmp.grover import build_grover_search, plan_iterations
 from qvmp.runner import generate_instance
@@ -15,9 +15,11 @@ from qvmp.simulator import (
     SPARSE_MAX_QUBITS,
     Histogram,
     _evolve,
+    _gather,
     _Outcomes,
     _outcomes,
     _scatter,
+    _spread,
     _State,
     probabilities,
     run,
@@ -327,6 +329,143 @@ class TestSparseEngine:
         c.measure(0, 0)
         with pytest.raises(ResourceError, match="sparse index limit"):
             run(c, 10, seed=0)
+
+
+def expansion_of(c):
+    """``c`` with every lookup and diffuse written out gate by gate."""
+    flat = Circuit(c.registers)
+    flat.gates = _expanded(c.gates)
+    return flat
+
+
+def assert_matches_expansion(c, initial=0):
+    """``c`` evolves as its expansion does, gate by gate in the engine and
+    in the dense reference, to 1e-12. Returns the stats of ``c``."""
+    amps, stats = evolved_amplitudes(c, initial)
+    flat = expansion_of(c)
+    assert np.max(np.abs(amps - evolved_amplitudes(flat, initial)[0])) < 1e-12
+    assert np.max(np.abs(amps - reference_amplitudes(flat, initial))) < 1e-12
+    return stats
+
+
+class TestDiffuse:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_its_expansion(self, data):
+        """Diffuse gates on one to five qubits anywhere in the index and in
+        any order, among the other kinds, from a basis state through
+        Hadamards on a few qubits (several groups outside the register) or,
+        in the full case, on every qubit."""
+        n = data.draw(st.integers(4, 8))
+        full = data.draw(st.booleans())
+
+        def diffuse():
+            order = data.draw(st.permutations(range(n)))
+            return Gate(DIFFUSE, (), tuple(order[:data.draw(st.integers(1, min(5, n)))]))
+
+        spread = range(n) if full else data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                                         max_size=3))
+        c = circuit_from(n, [("h", [q]) for q in spread] + data.draw(gate_lists(n, 6)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            c.append(diffuse())
+            c.extend(circuit_from(n, data.draw(gate_lists(n, 6))))
+        stats = assert_matches_expansion(c, data.draw(st.integers(0, (1 << n) - 1)))
+        if full:
+            assert stats["peak_support"] == 1 << n
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", ["low run", "high run", "permuted"])
+    def test_registers_and_groups(self, k, shape):
+        # Hadamards on three qubits outside the register make eight groups,
+        # and a phase pattern on the register makes each group's amplitudes
+        # unequal; Hadamards on the other qubits outside then make every
+        # group, and the last diffuser fills each one whose sum is nonzero.
+        n = 9
+        register = {"low run": list(range(k)), "high run": list(range(n - k, n)),
+                    "permuted": [8, 1, 6, 3, 4][:k][::-1]}[shape]
+        outside = [q for q in range(n) if q not in register]
+        c = Circuit((("q", n),))
+        for q in outside[:3] + register[:-1]:
+            c.h(q)
+        c.mcz(register[:-1] + outside[:1], register[-1]) if k > 1 else c.z(register[0])
+        c.cx(outside[1], register[-1])
+        c.diffuse(register)
+        c.x(outside[2])
+        c.diffuse(register[::-1])
+        for q in outside[3:]:
+            c.h(q)
+        c.diffuse(register)
+        stats = assert_matches_expansion(c, 0b101)
+        assert stats["peak_support"] >= 8 << k
+
+    def test_search_diffusers_call_no_hadamard(self, monkeypatch):
+        # A 3-iteration compact search on 16 rows: the four prologue H are
+        # the only ones; each diffuser is one reflection, not ten H merges.
+        search = build_grover_search(generate_instance(16, 4, 2, seed=5), 3, fold_y=True)
+        calls = []
+        h = _State.h
+        monkeypatch.setattr(_State, "h", lambda self, q: calls.append(q) or h(self, q))
+        _evolve(search)
+        assert calls == [0, 1, 2, 3]
+
+    def test_block_above_cap_raises(self):
+        # Eight groups (H on three qubits outside the register) of 2^4
+        # register values: 128 entries, more than a cap of 6 allows.
+        c = Circuit((("q", 8),))
+        for q in (5, 6, 7):
+            c.h(q)
+        c.diffuse(range(4))
+        with pytest.raises(ResourceError, match="support of 128 amplitudes exceeds the cap of 6"):
+            _evolve(c, cap=6)
+        stats = {}
+        _evolve(c, cap=7, stats=stats)
+        assert stats["peak_support"] == 128
+
+    def test_full_support_peak_within_three_states(self):
+        # Diffusers on all 2^18 entries, on a low run, a permuted register
+        # and the whole width: the evolution holds at most 3x the
+        # 16-byte-per-entry state.
+        n = 18
+        c = Circuit((("q", n),))
+        for q in range(n):
+            c.h(q)
+        c.z(4)
+        c.cx(2, 11)
+        c.diffuse(range(6))
+        c.diffuse([17, 3, 9, 0])
+        c.diffuse(range(n))
+        stats = {}
+        tracemalloc.start()
+        try:
+            _evolve(c, cap=n, stats=stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats["peak_support"] == 1 << n
+        assert peak <= 3 * 16 * (1 << n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gather_and_spread_match_the_bit_loop(data):
+    # A contiguous ascending run takes one shift and mask; any other qubit
+    # list goes bit by bit. Both give the per-bit loop's result exactly.
+    n = data.draw(st.integers(1, SPARSE_MAX_QUBITS))
+    k = data.draw(st.integers(1, min(n, 10)))
+    if data.draw(st.booleans()):
+        start = data.draw(st.integers(0, n - k))
+        qubits = tuple(range(start, start + k))
+    else:
+        qubits = tuple(data.draw(st.permutations(range(n)))[:k])
+    index = np.array(data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20)),
+                     dtype=np.int64)
+    gathered = np.zeros(index.size, dtype=np.int64)
+    for i, q in enumerate(qubits):
+        gathered |= ((index >> q) & 1) << i
+    got = _gather(index, qubits)
+    assert got.dtype == np.int64 and np.array_equal(got, gathered)
+    value = data.draw(st.integers(0, (1 << k) - 1))
+    assert _spread(value, qubits) == sum(((value >> i) & 1) << q for i, q in enumerate(qubits))
 
 
 class TestStatevector:
