@@ -470,9 +470,9 @@ def _earliest(level: list[int], controls: tuple[int, ...], anc0: int | None) -> 
     """The earliest layer of a write on ``controls``, from the levels they
     and the ancillas from ``anc0`` stand at: the middle ccx of a v-chain
     whose compute half is laid gate by gate (``anc0`` not None), else one
-    after the deepest control."""
+    after the deepest control (1 with no control)."""
     if anc0 is None:
-        return max([level[q] for q in controls]) + 1
+        return max([level[q] for q in controls], default=0) + 1
     lv = max(level[controls[0]], level[controls[1]], level[anc0]) + 1
     for i in range(1, len(controls) - 2):
         lv = max(level[controls[i + 1]], lv, level[anc0 + i]) + 1
@@ -634,16 +634,13 @@ def _lay(level: list[int], gates: list[Gate], anc0: int | None) -> None:
         elif kind == DIFFUSE:
             # an H and an X on each qubit, the core (H, X controlled by the
             # others, H) on the last, then the X and H layers again
-            *controls, t = qubits = g.targets
-            for q in qubits:
+            *controls, t = g.targets
+            for q in g.targets:
                 level[q] += 2
             level[t] += 1
-            if controls:
-                _lay_write(level, tuple(controls), t, anc0)
-            else:
-                level[t] += 1
+            _lay_write(level, tuple(controls), t, anc0)
             level[t] += 1
-            for q in qubits:
+            for q in g.targets:
                 level[q] += 2
         elif anc0 is not None and (kind == MCX or kind == MCZ):
             t = g.targets[0]

@@ -327,10 +327,11 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
     """Run all unitary gates on a basis state, or on ``start`` when it is
     an evolved state of the same width (which is then consumed).
 
-    ``cap`` bounds the support (default ``qubit_cap()``): an H that leaves
-    more than 2^cap entries raises ResourceError. ``stats``, when given,
-    receives ``engine`` ("sparse"), ``peak_support`` (most entries held)
-    and ``pruned_mass`` (squared amplitudes dropped by pruning).
+    ``cap`` bounds the support (default ``qubit_cap()``): an H or a diffuse
+    that leaves more than 2^cap entries raises ResourceError. ``stats``,
+    when given, receives ``engine`` ("sparse"), ``peak_support`` (most
+    entries held) and ``pruned_mass`` (squared amplitudes dropped by
+    pruning).
     """
     n = circuit.num_qubits
     if n > SPARSE_MAX_QUBITS:
@@ -346,8 +347,8 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
         if not 0 <= start < (1 << n):
             raise ContractError(f"initial basis index {start} out of range")
         state = _State(n, np.array([start], dtype=np.int64), np.ones(1))
-    # No local name holds state.index or state.amp across an H, so the
-    # arrays it replaces are freed.
+    # No local name holds state.index or state.amp across an H or a
+    # diffuse, so the arrays they replace are freed.
     peak = state.index.size
     pruned = 0.0
     # (id of a lookup table, data qubits) -> data masks; a lookup and its
