@@ -9,8 +9,11 @@ For each workload and seed, runs ``perfbench/run.py --trace 0`` once from
 each checkout, one process at a time; the side that goes first alternates
 by seed (even seeds start with the parent). Each checkout imports its own
 ``src``. The output holds, per workload and end-to-end metric, each side's
-median, quartiles and runs, the pairs the change won, and the attempted and
-failed operation counts. Metric names and directions come from the
+median, quartiles and runs, the pairs the change won, the metric's bound
+and whether the change's median is within it (no worse than the parent's
+median by more than that fraction, in the metric's better direction), and
+the attempted and failed operation counts; each metric outside its bound
+is also named on stderr. Metric names, directions and bounds come from the
 change's ``BENCHMARK.json``; the file is written in the current directory.
 """
 from __future__ import annotations
@@ -68,10 +71,14 @@ def workload_entry(results: dict, seeds: list[int], spec: list[dict]) -> dict:
                    for p, c in zip(runs["parent"], runs["change"]))
         entry = {"better": better, **{side: summary(runs[side]) for side in SIDES},
                  "change_wins": wins}
-        parent_median = entry["parent"]["median"]
+        parent_median, change_median = entry["parent"]["median"], entry["change"]["median"]
         if parent_median:
-            entry["median_ratio_change_over_parent"] = round(
-                entry["change"]["median"] / parent_median, 4)
+            entry["median_ratio_change_over_parent"] = round(change_median / parent_median, 4)
+        bound = metric["bound"]
+        entry["bound"] = bound
+        entry["within_bound"] = (change_median <= parent_median * (1 + bound)
+                                 if better == "lower"
+                                 else change_median >= parent_median * (1 - bound))
         metrics[name] = entry
     return {
         "seeds": seeds,
@@ -106,7 +113,12 @@ def main(argv=None) -> int:
                 results[side].append(result)
                 print(f"{workload} seed {seed} {side}: op_s "
                       f"{result['metrics']['op_s']['value']:.5g}", file=sys.stderr)
-        end_to_end[workload] = workload_entry(results, args.seeds, spec)
+        end_to_end[workload] = entry = workload_entry(results, args.seeds, spec)
+        for name, metric in entry["metrics"].items():
+            if not metric["within_bound"]:
+                print(f"{workload} {name}: change median {metric['change']['median']:.5g} is "
+                      f"worse than the parent's {metric['parent']['median']:.5g} by more "
+                      f"than its bound of {metric['bound']:.0%}", file=sys.stderr)
 
     record = {
         "label": args.label,

@@ -10,27 +10,29 @@ indices with nonzero amplitude and a float64 array of their amplitudes
 gate is applied as it comes: an X is one index XOR, a controlled-X gate is
 one masked index XOR, a table lookup gathers each index's address bits and
 XORs in that row's word, spread onto the data qubits (one array of those
-masks per table, data qubits and evolution), Z and MCZ flip the sign of the
-matching entries, and H is a merge of sorted pairs: each entry finds its
-partner (its index with the qubit's bit flipped) by binary search in the
-sorted indices, both members of a present pair are rewritten in place, an
-entry is appended for each missing partner, and amplitudes that cancelled
-are pruned. A diffuse is one reflection about the mean per group of
-entries that agree outside its register (``_State.diffuse``), not the H
-and X layers it lowers to; address bits are gathered, and table words
-spread, with one shift and mask when the qubits are a contiguous
-ascending run. At each diffuser every ancilla of a search circuit is back
-at its loaded value, so the state is one group, and between diffusers
-every ancilla is a function of the address, so the support never exceeds
-the n addresses whatever the register width. A run accepts up to
-``SPARSE_MAX_QUBITS`` (62) qubits, the width of an int64 index.
+masks per table, data qubits and evolution), and Z and MCZ flip the sign
+of the matching entries. H and a diffuse share one kernel: a stable sort
+puts the entries into groups that agree outside the op's qubits (one for
+H, the register for a diffuse), each group fills its 2^k slots of a block,
+the op rewrites the block (p·r ± a·r for H, one reflection about the mean
+for a diffuse, not the H and X layers it lowers to) and the block becomes
+the new state, with amplitudes that cancelled pruned. Address bits are
+gathered, and table words spread, with one shift and mask when the qubits
+are a contiguous ascending run. At each diffuser every ancilla of a search
+circuit is back at its loaded value, so the state is one group, and
+between diffusers every ancilla is a function of the address, so the
+support never exceeds the n addresses whatever the register width. A run
+accepts up to ``SPARSE_MAX_QUBITS`` (62) qubits, the width of an int64
+index.
 
 The qubit cap (``QVMP_SIM_MAX_QUBITS``, a nonnegative integer, default 26,
-or ``statevector``'s ``max_qubits``) bounds the amplitudes held: an H or a
-diffuse that leaves more than 2^cap entries (16 bytes each, as a dense
-complex128 amplitude is), a ``statevector`` result or an outcome marginal
-wider than the cap raises ResourceError. At full support an H holds about
-twice the state's bytes at its peak, and a diffuse two and a half times.
+or ``statevector``'s ``max_qubits``) bounds the amplitudes held, 16 bytes
+each, as a dense complex128 amplitude is. An H that leaves more than
+2^cap entries after pruning, a diffuse whose G groups make more than 2^cap
+slots (checked before they are made), a ``statevector`` result or an
+outcome marginal wider than the cap raises ResourceError. At full support
+an H or a diffuse holds about two and a half times the state's bytes at
+its peak.
 
 Measurement is two steps. ``_outcomes`` evolves a circuit that ends in
 measurement and marginalizes onto its measured qubits, once; the
@@ -204,77 +206,26 @@ def _gather(index, qubits):
 @dataclass
 class _State:
     """A true-indexed sparse state: distinct basis indices (int64) and
-    their real amplitudes. ``h`` rebinds both arrays."""
+    their real amplitudes. ``h`` and ``diffuse`` rebind both arrays."""
 
     num_qubits: int
     index: np.ndarray
     amp: np.ndarray
 
-    def h(self, qubit: int) -> np.ndarray:
-        """Hadamard on one qubit, as a merge of sorted pairs. Returns the
-        pruned amplitudes.
-
-        Each new amplitude is (+-p*r) + (+-a*r), r = 1/sqrt(2), for the
-        amplitudes p and a of the pair's bit-0 and bit-1 members, and a
-        missing partner's new entry is the present member's a*r (or p*r),
-        so every value is rounded as a sum over both branches. Arrays are
-        rebound as soon as they are replaced, so that the old ones are
-        freed: at full support the peak stays near twice the state."""
-        bit = 1 << qubit
-        if not np.all(self.index[:-1] < self.index[1:]):
-            order = np.argsort(self.index)
-            self.index = self.index[order]
-            self.amp = self.amp[order]
-            del order
-        index, amp = self.index, self.amp
-        # position of each entry's partner, valid where the partner is present
-        pos = np.searchsorted(index, index ^ bit)
-        np.minimum(pos, index.size - 1, out=pos)
-        found = index[pos]
-        found ^= index
-        missing = found != bit
-        del found
-        amp *= _INV_SQRT2
-        partner = amp[pos]
-        del pos
-        partner[missing] = 0.0
-        extra_index = index[missing] ^ bit
-        extra_amp = amp[missing]
-        del missing
-        np.negative(amp, out=amp, where=(index & bit) == bit)
-        amp += partner
-        del partner
-        if extra_index.size:
-            index = np.concatenate((index, extra_index))
-            amp = np.concatenate((amp, extra_amp))
-            del extra_index, extra_amp
-        keep = np.abs(amp) > _PRUNE_AMPLITUDE
-        dropped = amp[~keep]
-        if dropped.size:
-            index, amp = index[keep], amp[keep]
-        self.index, self.amp = index, amp
-        return dropped
-
-    def diffuse(self, qubits: tuple[int, ...], cap: int) -> np.ndarray:
-        """Inversion about the mean on the register ``qubits``, I - 2|s><s|.
-        Returns the pruned amplitudes.
-
-        Entries are grouped by their index bits outside the register. In a
-        group whose amplitudes sum to S, register value j gets
-        a_j - (2/2^k)·S, with a_j = 0 where j is absent, so G groups make
-        G·2^k entries; that count is checked against 2^cap before they are
-        made (ResourceError, as for H). A group's new entries are its key
-        ORed with each value's index bits (``offsets``, built by doubling).
-        Arrays are released as soon as they are replaced, so that at full
-        support the peak stays under three times the state."""
-        k = len(qubits)
+    def _group(self, qubits) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Sort the entries into groups that agree outside ``qubits``, by a
+        stable sort, so each group keeps its entries in state order.
+        Returns the groups' keys (index bits outside ``qubits``), where
+        each group starts in sorted order, the amplitudes in that order and
+        each one's slot in a G·2^k block: its group times 2^k plus its
+        register value. Releases the state's arrays."""
         mask = 0
         for q in qubits:
             mask |= 1 << q
         value = _gather(self.index, qubits)
         rest = self.index & ~mask
         self.index = None
-        order = np.argsort(rest)
+        order = np.argsort(rest, kind="stable")
         rest = rest[order]
         value = value[order]
         amp, self.amp = self.amp, None
@@ -284,30 +235,66 @@ class _State:
         first[0] = True
         np.not_equal(rest[1:], rest[:-1], out=first[1:])
         starts = np.flatnonzero(first)
-        size = starts.size << k
-        if size > 1 << cap:
-            raise ResourceError(f"support of {size} amplitudes exceeds the cap of {cap} qubits")
         keys = rest[starts]
         del rest
-        pos = np.cumsum(first)  # each entry's group, from 1
+        slot = np.cumsum(first)  # each entry's group, from 1
         del first
-        pos -= 1
-        pos <<= k
-        pos |= value
-        del value
-        new = np.repeat(np.add.reduceat(amp, starts) * (-2.0 / (1 << k)), 1 << k)
-        new[pos] += amp
-        del pos, amp
+        slot -= 1
+        slot <<= len(qubits)
+        slot |= value
+        return keys, starts, amp, slot
+
+    def _ungroup(self, keys: np.ndarray, qubits, block: np.ndarray) -> np.ndarray:
+        """Make the state from a G·2^k ``block`` over the groups ``keys``:
+        slot g·2^k + j is key g ORed with value j's index bits
+        (``offsets``, built by doubling). Prunes amplitudes at or below
+        ``_PRUNE_AMPLITUDE`` and returns them."""
         offsets = np.zeros(1, dtype=np.int64)
         for q in qubits:
             offsets = np.concatenate((offsets, offsets | (1 << q)))
         index = (keys[:, None] | offsets).ravel()
-        keep = np.abs(new) > _PRUNE_AMPLITUDE
-        dropped = new[~keep]
+        keep = np.abs(block) > _PRUNE_AMPLITUDE
+        dropped = block[~keep]
         if dropped.size:
-            index, new = index[keep], new[keep]
-        self.index, self.amp = index, new
+            index, block = index[keep], block[keep]
+        self.index, self.amp = index, block
         return dropped
+
+    def h(self, qubit: int) -> np.ndarray:
+        """Hadamard on one qubit: the one-qubit case of ``diffuse``'s
+        grouping, each group a pair. Returns the pruned amplitudes.
+
+        The amplitudes are scaled by r = 1/sqrt(2) first, then a pair of
+        bit-0 amplitude p and bit-1 amplitude a (0 where absent) becomes
+        p·r + a·r and p·r − a·r."""
+        keys, _, amp, slot = self._group((qubit,))
+        amp *= _INV_SQRT2
+        block = np.zeros(keys.size << 1)
+        block[slot] = amp
+        del amp, slot
+        p, a = block[0::2], block[1::2]
+        block = np.stack((p + a, p - a), axis=1).ravel()
+        del p, a
+        return self._ungroup(keys, (qubit,), block)
+
+    def diffuse(self, qubits: tuple[int, ...], cap: int) -> np.ndarray:
+        """Inversion about the mean on the register ``qubits``, I - 2|s><s|.
+        Returns the pruned amplitudes.
+
+        In a group whose amplitudes sum to S (``np.add.reduceat``, in
+        group order), register value j gets a_j - (2/2^k)·S, with a_j = 0
+        where j is absent, so G groups make G·2^k entries; that count is
+        checked against 2^cap before they are made (ResourceError)."""
+        k = len(qubits)
+        keys, starts, amp, slot = self._group(qubits)
+        size = keys.size << k
+        if size > 1 << cap:
+            raise ResourceError(f"support of {size} amplitudes exceeds the cap of {cap} qubits")
+        block = np.repeat(np.add.reduceat(amp, starts) * (-2.0 / (1 << k)), 1 << k)
+        del starts
+        block[slot] += amp
+        del amp, slot
+        return self._ungroup(keys, qubits, block)
 
     def marginal(self, ordered: list[int]) -> np.ndarray:
         """Born probabilities over the ascending qubit list ``ordered``;
@@ -316,9 +303,7 @@ class _State:
         cap = qubit_cap()
         if k > cap:
             raise ResourceError(f"marginal over {k} qubits exceeds the cap of {cap}")
-        outcome = np.zeros(self.index.size, dtype=np.int64)
-        for r, q in enumerate(ordered):
-            outcome |= ((self.index >> q) & 1) << r
+        outcome = _gather(self.index, ordered)
         return np.bincount(outcome, weights=self.amp * self.amp, minlength=1 << k)
 
 
@@ -327,11 +312,11 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
     """Run all unitary gates on a basis state, or on ``start`` when it is
     an evolved state of the same width (which is then consumed).
 
-    ``cap`` bounds the support (default ``qubit_cap()``): an H or a diffuse
-    that leaves more than 2^cap entries raises ResourceError. ``stats``,
-    when given, receives ``engine`` ("sparse"), ``peak_support`` (most
-    entries held) and ``pruned_mass`` (squared amplitudes dropped by
-    pruning).
+    ``cap`` bounds the support (default ``qubit_cap()``): an H that leaves
+    more than 2^cap entries after pruning, or a diffuse whose groups make
+    more than 2^cap slots, raises ResourceError. ``stats``, when given,
+    receives ``engine`` ("sparse"), ``peak_support`` (most entries held)
+    and ``pruned_mass`` (squared amplitudes dropped by pruning).
     """
     n = circuit.num_qubits
     if n > SPARSE_MAX_QUBITS:

@@ -101,9 +101,9 @@ def evolved_amplitudes(circuit, initial):
 
 def merged_h(index, amp, qubit):
     """Hadamard on a sparse state by merging equal indices with np.unique
-    and bincount: the engine's earlier form, kept as the reference for
-    ``_State.h``'s pair merge. Returns the new arrays and the pruned
-    amplitudes."""
+    and bincount: an earlier form of the engine, kept as the reference for
+    ``_State.h``'s grouping into pairs. Returns the new arrays and the
+    pruned amplitudes."""
     bit = 1 << qubit
     scaled = amp * INV_SQRT2
     signed = np.where((index & bit) == bit, -scaled, scaled)
@@ -162,7 +162,7 @@ class TestSparseEngine:
     @settings(max_examples=300, deadline=None)
     @given(sparse_states(), st.data())
     def test_h_matches_the_merge_reference(self, state, data):
-        """The pair merge gives the reference's entries bit for bit, once
+        """``_State.h`` gives the reference's entries bit for bit, once
         both are sorted by index, and prunes the same amplitudes."""
         n, index, amp = state
         qubit = data.draw(st.integers(0, n - 1))
@@ -323,6 +323,18 @@ class TestSparseEngine:
         c.measure(0, 0)
         with pytest.raises(ResourceError, match="cap of 6"):
             run(c, 10, seed=0)
+
+    def test_h_cap_counts_the_support_left_after_pruning(self):
+        # Five pairs of slots (10 > 2^3), but the three present pairs have
+        # equal amplitudes, so their bit-1 members cancel: 7 entries remain.
+        index = np.array([0, 1, 2, 3, 4, 5, 8, 10], dtype=np.int64)
+        c = Circuit((("q", 4),))
+        c.h(0)
+        stats = {}
+        state = _evolve(c, _State(4, index, np.full(8, 8 ** -0.5)), cap=3, stats=stats)
+        assert state.index.size == 7
+        assert stats["peak_support"] == 8
+        assert np.array_equal(np.sort(state.index), [0, 2, 4, 8, 9, 10, 11])
 
     def test_sparse_index_limit(self):
         c = Circuit((("q", SPARSE_MAX_QUBITS + 1),), classical_bits=1)
