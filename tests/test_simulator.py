@@ -412,7 +412,7 @@ class TestDiffuse:
 
     def test_search_diffusers_call_no_hadamard(self, monkeypatch):
         # A 3-iteration compact search on 16 rows: the four prologue H are
-        # the only ones; each diffuser is one reflection, not ten H merges.
+        # the only ones; each diffuser is one reflection, not ten H.
         search = build_grover_search(generate_instance(16, 4, 2, seed=5), 3, fold_y=True)
         calls = []
         h = _State.h
