@@ -11,8 +11,10 @@ by seed (even seeds start with the parent). Each checkout imports its own
 ``src``. The output holds, per workload and end-to-end metric, each side's
 median, quartiles and runs, the pairs the change won, the metric's bound
 and whether the change's median is within it (no worse than the parent's
-median by more than that fraction, in the metric's better direction), and
-the attempted and failed operation counts; each metric outside its bound
+median by more than that fraction, in the metric's better direction),
+whether the change meets the gain rule (it wins at least 9 of every 10
+pairs, and its median beats the parent's by more than the parent's
+q3 - q1), and the attempted and failed operation counts; each metric outside its bound
 is also named on stderr. Metric names, directions and bounds come from the
 change's ``BENCHMARK.json``; the file is written in the current directory.
 """
@@ -79,6 +81,9 @@ def workload_entry(results: dict, seeds: list[int], spec: list[dict]) -> dict:
         entry["within_bound"] = (change_median <= parent_median * (1 + bound)
                                  if better == "lower"
                                  else change_median >= parent_median * (1 - bound))
+        gain = parent_median - change_median if better == "lower" else change_median - parent_median
+        spread = entry["parent"]["q3"] - entry["parent"]["q1"]
+        entry["meets_gain_rule"] = 10 * wins >= 9 * len(runs["parent"]) and gain > spread
         metrics[name] = entry
     return {
         "seeds": seeds,

@@ -19,10 +19,9 @@ them; the simulator applies both gates directly. The counts read one
 census of (kind, control count) (``_census``), and the depths before and
 after lowering come from one layering walker (``_depth``). It lays a
 diffuse in closed form, and each lookup row from the previous row's last
-write (``_lay_lookup``), reading a row write by write only where it writes
-a data qubit for the first time: O(n + m) steps per lookup of n rows and
-m data qubits, plus the writes of at most m such rows, not one step per
-set table bit.
+write (``_lay_lookup``), its writes at fixed steps from the row's start
+except where a data qubit's first write lifts them: O(n + m) steps per
+lookup of n rows and m data qubits, not one step per set table bit.
 
 ``Circuit.repeat(body, t)`` appends a body's gates t times and records
 them as one block (start, len(body), t) in ``blocks``; ``gates`` stays the
@@ -116,9 +115,6 @@ class Circuit:
             self._offsets[name] = off
             off += width
         self.num_qubits = off
-        self._labels = [
-            f"{name}[{i}]" for name, width in self.registers for i in range(width)
-        ]
 
     # -- qubit lookup ------------------------------------------------------
 
@@ -166,8 +162,8 @@ class Circuit:
                 raise ContractError("lookup needs at least one address qubit")
             if not isinstance(table, tuple) or len(table) != 1 << len(gate.controls):
                 raise ContractError("lookup needs a tuple of one word per address")
-            limit = 1 << len(gate.targets)
-            if not all(isinstance(w, int) and 0 <= w < limit for w in table):
+            if (not all(issubclass(t, int) for t in set(map(type, table)))
+                    or min(table) < 0 or max(table) >= 1 << len(gate.targets)):
                 raise ContractError("lookup words must fit the data qubits")
         elif gate.table is not None or gate.reverse:
             raise ContractError("only a lookup carries a table")
@@ -299,7 +295,13 @@ class Circuit:
     # -- introspection -----------------------------------------------------
 
     def label(self, global_index: int) -> str:
-        return self._labels[global_index]
+        """"name[i]" of a global qubit index, from ``registers``."""
+        if 0 <= global_index < self.num_qubits:
+            for name, width in self.registers:
+                if global_index < width:
+                    return f"{name}[{global_index}]"
+                global_index -= width
+        raise IndexError(f"qubit {global_index} not declared")
 
     def measured_qubits(self) -> list[tuple[int, int]]:
         """(qubit, classical bit) pairs in gate order."""
@@ -405,7 +407,7 @@ def _lookup_census(g: Gate) -> list[tuple[tuple[str, int], int]]:
     of the table (none when the table is all zero)."""
     k = len(g.controls)
     census = [((X, 0), len(g.table) * k),
-              ((_x_kind(k), k), sum(w.bit_count() for w in g.table))]
+              ((_x_kind(k), k), sum(map(int.bit_count, g.table)))]
     if g.reverse and g.table[-1]:  # backwards, row n-1 writes first (it selects with no X)
         census.reverse()
     return [entry for entry in census if entry[1]]
@@ -437,7 +439,9 @@ def _census(c: Circuit) -> dict[tuple[str, int], int]:
                 entries = (((H, 0), 2 * k + 2), ((X, 0), 2 * k),
                            ((_x_kind(k - 1), k - 1), 1))
             else:
-                entries = (((g.kind, len(g.controls)), 1),)
+                key = (g.kind, len(g.controls))
+                census[key] = census.get(key, 0) + t
+                continue
             for key, num in entries:
                 census[key] = census.get(key, 0) + t * num
     return census
@@ -492,13 +496,20 @@ def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> None:
     most X gates (1 or 2: the previous row's closing ones and this row's
     opening ones) on one address qubit that write waits on: every address
     qubit unchained, c_0 and c_1 chained. The first row and a row after a
-    zero-word row start from the level table instead (``_earliest``). A
-    data qubit written before in this lookup sits at or below L, even
-    where its level entry is stale, so only a row that holds a first write
-    is laid write by write; every other row's writes land at
-    start + i·stride. The address and ancilla levels are written from L
-    only before a zero-word row and after the last row, and each data
-    qubit from its last write by a backward scan.
+    zero-word row start from the level table instead (``_earliest``).
+
+    A data qubit written before in this lookup sits at or below L, even
+    where its level entry is stale, so a row's writes land at
+    start + rank·stride, rank counting the row's writes before it, except
+    where a data qubit's first write finds its level at or above its slot:
+    that write lands one after the level and lifts the rest of the row.
+    Each row keeps its start and its lifts as (rank, layer) points, and
+    only its fresh bits are read, each one's rank the popcount of the word
+    below it (above it when ``reverse``). The address and ancilla levels
+    are written from L only before a zero-word row and after the last row,
+    and each data qubit from its last write, in any row, by one backward
+    scan. That is O(n + m) steps for n rows and m data qubits, not one per
+    set table bit.
     """
     controls, targets, table, reverse = g.controls, g.targets, g.table, g.reverse
     n, k = len(table), len(controls)
@@ -508,7 +519,8 @@ def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> None:
     mask = n - 1 if anc0 is None else 3  # the address bits the first write waits on
     written = 0  # data bits written so far
     last = None  # L, while the level table lags behind it
-    starts: dict[int, int] = {}  # row laid in closed form -> its first write's layer
+    starts = [0] * n  # each row's first write slot
+    lifts: dict[int, list[tuple[int, int]]] = {}  # row -> its (rank, layer) points
     prev = 0  # the previous row with writes
 
     def flip(r: int, x: int) -> None:
@@ -517,8 +529,8 @@ def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> None:
             if not r >> i & 1:
                 level[q] += x
 
-    for j in range(n):
-        r = n - 1 - j if reverse else j
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    for r in order:
         word = table[r]
         if not word:
             if last is not None:  # the close and closing X gates of row prev
@@ -532,35 +544,44 @@ def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> None:
             start = _earliest(level, controls, anc0)
         else:  # rows prev and r differ in bit 0, so one of them flips c_0
             start = last + stride + (2 if ~prev & ~r & mask else 1)
-        if word & ~written:
-            written |= word
-            last = start - stride
-            for t in _row(g, j)[1]:
-                last = max(level[t] + 1, last + stride)
-                level[t] = last
-        else:
-            starts[j] = start
-            last = start + (word.bit_count() - 1) * stride
+        starts[r] = start
+        at, base = 0, start  # the write of rank ``at`` lands at ``base``
+        fresh = word & ~written
+        written |= word
+        while fresh:  # in written order: low bit first, high first backwards
+            i = fresh.bit_length() - 1 if reverse else (fresh & -fresh).bit_length() - 1
+            fresh ^= 1 << i
+            w = (word >> i + 1).bit_count() if reverse else (word & (1 << i) - 1).bit_count()
+            lv = level[targets[i]]
+            if lv >= base + (w - at) * stride:
+                at, base = w, lv + 1
+                lifts.setdefault(r, []).append((w, base))
+        last = base + (word.bit_count() - 1 - at) * stride
         prev = r
     if last is not None:
         _close_row(level, controls, last, anc0)
         flip(prev, 1)
-    if starts:
-        done = 0
-        for j in range(n - 1, -1, -1):
-            word = table[n - 1 - j if reverse else j]
-            fresh = word & ~done
-            if fresh and j in starts:
-                start = starts[j]
-                while fresh:
-                    low = fresh & -fresh
-                    fresh ^= low
-                    i = low.bit_length() - 1
-                    before = word >> i + 1 if reverse else word & low - 1
-                    level[targets[i]] = start + before.bit_count() * stride
-            done |= word
-            if done == written:
-                break
+    done = 0
+    for r in reversed(order):
+        if done == written:
+            break
+        word = table[r]
+        fresh = word & ~done
+        if not fresh:
+            continue
+        done |= word
+        start, points = starts[r], lifts.get(r, ())
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            i = low.bit_length() - 1
+            w = (word >> i + 1).bit_count() if reverse else (word & low - 1).bit_count()
+            at, base = 0, start
+            for p in points:
+                if p[0] > w:
+                    break
+                at, base = p
+            level[targets[i]] = base + (w - at) * stride
 
 
 def _depth(c: Circuit, anc0: int | None) -> int:

@@ -150,8 +150,10 @@ def plan_iterations(n: int, solution_count: int | None, mode: str = "optimal",
     return GroverPlan(n, solution_count, n_opt, n_qvmp, iterations, mode, dual_recommended)
 
 
-def _wires(c: Circuit, register: str) -> list[int]:
-    return [q.global_index for q in c.qubits(register)]
+def _wires(c: Circuit, register: str) -> range:
+    """The global indices of ``register``'s qubits, in register order."""
+    start = c._offsets[register]
+    return range(start, start + c._widths[register])
 
 
 def _appended(c: Circuit, gates: list[Gate]) -> Circuit:
@@ -174,7 +176,7 @@ def build_qrom(table: BitMatrix) -> Circuit:
     if n < 2 or n & (n - 1):
         raise DimensionError(f"table rows must be a power of two >= 2, got {n}")
     c = Circuit((("address", n.bit_length() - 1), ("data", table.cols)))
-    c.lookup(c.qubits("address"), c.qubits("data"), table.row_words)
+    c.lookup(_wires(c, "address"), _wires(c, "data"), table.row_words)
     return c.freeze()
 
 
@@ -183,7 +185,7 @@ def build_inner_product(m: int) -> Circuit:
     if m < 1:
         raise DimensionError("vector length must be >= 1")
     c = Circuit((("a", m), ("b", m), ("out", 1)))
-    out = c.qubit("out", 0).global_index
+    out = c._offsets["out"]
     return _appended(c, _inner_product_gates(_wires(c, "a"), _wires(c, "b"), out))
 
 
@@ -194,7 +196,7 @@ def build_diffuser(k: int) -> Circuit:
     if k < 1:
         raise DimensionError("diffuser needs at least one qubit")
     c = Circuit((("q", k),))
-    c.diffuse(c.qubits("q"))
+    c.diffuse(_wires(c, "q"))
     return c.freeze()
 
 
@@ -207,9 +209,9 @@ def _search_registers(inst: QvmpInstance, fold_y: bool, classical_bits: int = 0)
 def _oracle_gates(c: Circuit, inst: QvmpInstance, dual: bool, fold_y: bool) -> list[Gate]:
     """The oracle's gates on the search registers of ``c``."""
     a = _wires(c, "a")
-    z = c.qubit("z", 0).global_index
+    z = c._offsets["z"]
     table = append_column(inst.matrix, inst.z).row_words
-    lookup = Gate(LOOKUP, tuple(_wires(c, "address")), tuple(a + [z]), table=table)
+    lookup = Gate(LOOKUP, tuple(_wires(c, "address")), (*a, z), table=table)
     if fold_y:
         dot = [Gate(CX, (a[i],), (z,)) for i in range(inst.m) if inst.y[i]]
     else:
@@ -263,13 +265,14 @@ def build_grover_search(inst: QvmpInstance, iterations: int, dual: bool = False,
         c = Circuit((("address", k),), bits)
     else:
         c = _search_registers(inst, fold_y, bits)
-    addr = c.qubits("address")
+    addr = _wires(c, "address")
     for q in addr:
         c.h(q)
     if not fold_y:
+        y = _wires(c, "y")
         for i in range(inst.m):
             if inst.y[i]:
-                c.x(c.qubit("y", i))
+                c.x(y[i])
     if iterations:
         c.repeat(_grover_iteration(inst, dual, fold_y), iterations)
     if measure:

@@ -627,6 +627,26 @@ def lifted_lookups(draw):
 
 
 @st.composite
+def laid_lookups(draw):
+    """(level, lookup, anc0): one to six address qubits and one to eight
+    data qubits in random places, either order, a table mixing zero words,
+    one-bit words and random words, a random level on every qubit and
+    ancilla, and ``anc0`` None or the first ancilla after the qubits."""
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 8))
+    word = st.one_of(st.just(0), st.integers(0, d - 1).map(lambda i: 1 << i),
+                     st.integers(0, (1 << d) - 1))
+    words = draw(st.lists(word, min_size=1 << k, max_size=1 << k))
+    order = draw(st.permutations(range(k + d)))
+    gate = Gate(LOOKUP, tuple(order[:k]), tuple(order[k:]), table=tuple(words),
+                reverse=draw(st.booleans()))
+    anc0 = draw(st.sampled_from([None, k + d]))
+    size = k + d + max(k - 2, 0)
+    level = draw(st.lists(st.integers(0, 80), min_size=size, max_size=size))
+    return level, gate, anc0
+
+
+@st.composite
 def small_gates(draw, n):
     """An x, h, z or cx on ``n`` qubits, or a ladder of one to four
     appends of one x object, which lifts its qubit by that many layers."""
@@ -766,6 +786,16 @@ class TestLoweredMetrics:
         assert_lowered_metrics_exact(c)
         assert metrics(c)["depth"] == layered_depth(expanded(c).gates)
 
+    @settings(max_examples=500, deadline=None)
+    @given(laid_lookups())
+    def test_lay_lookup_leaves_the_levels_of_its_expansion(self, case):
+        # the whole level table, address, data and ancilla qubits alike
+        level, g, anc0 = case
+        want = level.copy()
+        circuit_module._lay(want, circuit_module._expansion(g), anc0)
+        circuit_module._lay_lookup(level, g, anc0)
+        assert level == want
+
     @settings(max_examples=300, deadline=None)
     @given(repeated_runs())
     def test_repeated_runs(self, c):
@@ -799,11 +829,11 @@ class TestLoweredMetrics:
         assert lays == [3] * 8
 
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_only_rows_with_a_first_write_are_read_write_by_write(self, monkeypatch, reverse):
+    def test_no_row_is_read_write_by_write(self, monkeypatch, reverse):
         # 16 rows onto 2 data qubits, in laying order: the second data bit is
         # first written at the last row, and zero-word rows sit between. A
-        # lay reads a row write by write (_row) only where it holds a first
-        # write, so at most popcount(OR) = 2 rows, and the depths stay exact.
+        # lay reads only a row's first writes, never a whole row (_row), and
+        # the depths stay exact.
         words = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 3)
         c = Circuit((("q", 7),))
         c.mcx([0, 1, 2], 4)  # the data qubits start late
@@ -817,7 +847,7 @@ class TestLoweredMetrics:
         for walk in (metrics, lowered_metrics):
             calls.clear()
             walk(c)
-            assert len(calls) <= 2
+            assert calls == []
         assert_lowered_metrics_exact(c)
         assert metrics(c)["depth"] == layered_depth(expanded(c).gates)
 
