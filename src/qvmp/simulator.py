@@ -13,12 +13,12 @@ XORs in that row's word, spread onto the data qubits (one array of those
 masks per table, data qubits and evolution), and Z and MCZ flip the sign
 of the matching entries. H and a diffuse share one kernel: a sort puts
 the entries into groups that agree outside the op's qubits (one for H,
-the register for a diffuse; stable for a diffuse, whose sums run in
-group order, and NumPy's faster default for H, which writes by slot), each
-group fills its 2^k slots of a block,
-the op rewrites the block (p·r ± a·r for H, one reflection about the mean
-for a diffuse, not the H and X layers it lowers to) and the block becomes
-the new state, with amplitudes that cancelled pruned. Address bits are
+the register for a diffuse; stable for a diffuse, whose sums run in group
+order, and NumPy's faster default for H, which writes by slot), each group
+fills its 2^k slots of a block, the op rewrites the block (p·r ± a·r
+for H, one reflection about the mean for a diffuse, not the H and X
+layers it lowers to) and the block becomes the new state, with
+amplitudes that cancelled pruned. Address bits are
 gathered, and table words spread, with one shift and mask when the qubits
 are a contiguous ascending run. At each diffuser every ancilla of a search
 circuit is back at its loaded value, so the state is one group, and
@@ -219,7 +219,7 @@ class _State:
         ``np.argsort`` of sort ``kind``: "stable" keeps each group's
         entries in state order; None, NumPy's default sort, does not, but
         on 2^20 entries in random order it takes about 40 ms against the
-        stable sort's 170. Returns the groups' keys (index bits outside
+        stable sort's 160. Returns the groups' keys (index bits outside
         ``qubits``), where each group starts in sorted order, the
         amplitudes in that order and each one's slot in a G·2^k block: its
         group times 2^k plus its register value. Releases the state's
