@@ -127,6 +127,11 @@ class Circuit:
     def qubits(self, register: str) -> list[QubitRef]:
         return [self.qubit(register, i) for i in range(self._widths[register])]
 
+    def _range(self, register: str) -> range:
+        """The global indices of ``register``'s qubits, in register order."""
+        start = self._offsets[register]
+        return range(start, start + self._widths[register])
+
     def _resolve(self, q) -> int:
         g = q.global_index if isinstance(q, QubitRef) else int(q)
         if not 0 <= g < self.num_qubits:
@@ -508,8 +513,9 @@ def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> None:
     below it (above it when ``reverse``). The address and ancilla levels
     are written from L only before a zero-word row and after the last row,
     and each data qubit from its last write, in any row, by one backward
-    scan. That is O(n + m) steps for n rows and m data qubits, not one per
-    set table bit.
+    scan that reads a row's bits in written order and passes each of its
+    lifts once. That is O(n + m) steps for n rows and m data qubits, not
+    one per set table bit.
     """
     controls, targets, table, reverse = g.controls, g.targets, g.table, g.reverse
     n, k = len(table), len(controls)
@@ -570,17 +576,15 @@ def _lay_lookup(level: list[int], g: Gate, anc0: int | None) -> None:
         if not fresh:
             continue
         done |= word
-        start, points = starts[r], lifts.get(r, ())
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            i = low.bit_length() - 1
-            w = (word >> i + 1).bit_count() if reverse else (word & low - 1).bit_count()
-            at, base = 0, start
-            for p in points:
-                if p[0] > w:
-                    break
-                at, base = p
+        points = lifts.get(r, ())
+        p, at, base = 0, 0, starts[r]  # points[p] is the next lift to pass
+        while fresh:  # in written order, so the ranks rise
+            i = fresh.bit_length() - 1 if reverse else (fresh & -fresh).bit_length() - 1
+            fresh ^= 1 << i
+            w = (word >> i + 1).bit_count() if reverse else (word & (1 << i) - 1).bit_count()
+            while p < len(points) and points[p][0] <= w:
+                at, base = points[p]
+                p += 1
             level[targets[i]] = base + (w - at) * stride
 
 

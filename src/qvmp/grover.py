@@ -150,12 +150,6 @@ def plan_iterations(n: int, solution_count: int | None, mode: str = "optimal",
     return GroverPlan(n, solution_count, n_opt, n_qvmp, iterations, mode, dual_recommended)
 
 
-def _wires(c: Circuit, register: str) -> range:
-    """The global indices of ``register``'s qubits, in register order."""
-    start = c._offsets[register]
-    return range(start, start + c._widths[register])
-
-
 def _appended(c: Circuit, gates: list[Gate]) -> Circuit:
     """``c`` with ``gates`` appended in order, frozen."""
     append = c.append
@@ -176,7 +170,7 @@ def build_qrom(table: BitMatrix) -> Circuit:
     if n < 2 or n & (n - 1):
         raise DimensionError(f"table rows must be a power of two >= 2, got {n}")
     c = Circuit((("address", n.bit_length() - 1), ("data", table.cols)))
-    c.lookup(_wires(c, "address"), _wires(c, "data"), table.row_words)
+    c.lookup(c._range("address"), c._range("data"), table.row_words)
     return c.freeze()
 
 
@@ -185,8 +179,8 @@ def build_inner_product(m: int) -> Circuit:
     if m < 1:
         raise DimensionError("vector length must be >= 1")
     c = Circuit((("a", m), ("b", m), ("out", 1)))
-    out = c._offsets["out"]
-    return _appended(c, _inner_product_gates(_wires(c, "a"), _wires(c, "b"), out))
+    out = c._range("out")[0]
+    return _appended(c, _inner_product_gates(c._range("a"), c._range("b"), out))
 
 
 def build_diffuser(k: int) -> Circuit:
@@ -196,7 +190,7 @@ def build_diffuser(k: int) -> Circuit:
     if k < 1:
         raise DimensionError("diffuser needs at least one qubit")
     c = Circuit((("q", k),))
-    c.diffuse(_wires(c, "q"))
+    c.diffuse(c._range("q"))
     return c.freeze()
 
 
@@ -208,14 +202,14 @@ def _search_registers(inst: QvmpInstance, fold_y: bool, classical_bits: int = 0)
 
 def _oracle_gates(c: Circuit, inst: QvmpInstance, dual: bool, fold_y: bool) -> list[Gate]:
     """The oracle's gates on the search registers of ``c``."""
-    a = _wires(c, "a")
-    z = c._offsets["z"]
+    a = c._range("a")
+    z = c._range("z")[0]
     table = append_column(inst.matrix, inst.z).row_words
-    lookup = Gate(LOOKUP, tuple(_wires(c, "address")), (*a, z), table=table)
+    lookup = Gate(LOOKUP, tuple(c._range("address")), (*a, z), table=table)
     if fold_y:
         dot = [Gate(CX, (a[i],), (z,)) for i in range(inst.m) if inst.y[i]]
     else:
-        dot = _inner_product_gates(a, _wires(c, "y"), z)
+        dot = _inner_product_gates(a, c._range("y"), z)
     flip = [Gate(X, (), (z,))] if dual else []
     phase = flip + [Gate(Z, (), (z,))] + flip
     return [lookup] + dot + phase + dot[::-1] + [replace(lookup, reverse=True)]
@@ -240,7 +234,7 @@ def build_oracle(inst: QvmpInstance, dual: bool = False, fold_y: bool = False) -
 def _grover_iteration(inst: QvmpInstance, dual: bool, fold_y: bool) -> Circuit:
     """One (oracle, diffuser) pair on the search registers."""
     c = _search_registers(inst, fold_y)
-    diffuser = Gate(DIFFUSE, (), tuple(_wires(c, "address")))
+    diffuser = Gate(DIFFUSE, (), tuple(c._range("address")))
     return _appended(c, _oracle_gates(c, inst, dual, fold_y) + [diffuser])
 
 
@@ -265,11 +259,11 @@ def build_grover_search(inst: QvmpInstance, iterations: int, dual: bool = False,
         c = Circuit((("address", k),), bits)
     else:
         c = _search_registers(inst, fold_y, bits)
-    addr = _wires(c, "address")
+    addr = c._range("address")
     for q in addr:
         c.h(q)
     if not fold_y:
-        y = _wires(c, "y")
+        y = c._range("y")
         for i in range(inst.m):
             if inst.y[i]:
                 c.x(y[i])

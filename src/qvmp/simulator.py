@@ -11,14 +11,12 @@ gate is applied as it comes: an X is one index XOR, a controlled-X gate is
 one masked index XOR, a table lookup gathers each index's address bits and
 XORs in that row's word, spread onto the data qubits (one array of those
 masks per table, data qubits and evolution), and Z and MCZ flip the sign
-of the matching entries. H and a diffuse share one kernel: a sort puts
-the entries into groups that agree outside the op's qubits (one for H,
-the register for a diffuse; stable for a diffuse, whose sums run in group
-order, and NumPy's faster default for H, which writes by slot), each group
-fills its 2^k slots of a block, the op rewrites the block (p·r ± a·r
-for H, one reflection about the mean for a diffuse, not the H and X
-layers it lowers to) and the block becomes the new state, with
-amplitudes that cancelled pruned. Address bits are
+of the matching entries. H and a diffuse share one kernel: a stable sort
+puts the entries into groups that agree outside the op's qubits (one for
+H, the register for a diffuse), each group fills its 2^k slots of a block,
+the op rewrites the block (p·r ± a·r for H, one reflection about the mean
+for a diffuse, not the H and X layers it lowers to) and the block becomes
+the new state, with amplitudes that cancelled pruned. Address bits are
 gathered, and table words spread, with one shift and mask when the qubits
 are a contiguous ascending run. At each diffuser every ancilla of a search
 circuit is back at its loaded value, so the state is one group, and
@@ -214,23 +212,20 @@ class _State:
     index: np.ndarray
     amp: np.ndarray
 
-    def _group(self, qubits, kind: str | None) -> tuple[np.ndarray, ...]:
-        """Sort the entries into groups that agree outside ``qubits`` by
-        ``np.argsort`` of sort ``kind``: "stable" keeps each group's
-        entries in state order; None, NumPy's default sort, does not, but
-        on 2^20 entries in random order it takes about 40 ms against the
-        stable sort's 160. Returns the groups' keys (index bits outside
-        ``qubits``), where each group starts in sorted order, the
-        amplitudes in that order and each one's slot in a G·2^k block: its
-        group times 2^k plus its register value. Releases the state's
-        arrays."""
+    def _group(self, qubits) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Sort the entries into groups that agree outside ``qubits``, by a
+        stable sort, so each group keeps its entries in state order.
+        Returns the groups' keys (index bits outside ``qubits``), where
+        each group starts in sorted order, the amplitudes in that order and
+        each one's slot in a G·2^k block: its group times 2^k plus its
+        register value. Releases the state's arrays."""
         mask = 0
         for q in qubits:
             mask |= 1 << q
         value = _gather(self.index, qubits)
         rest = self.index & ~mask
         self.index = None
-        order = np.argsort(rest, kind=kind)
+        order = np.argsort(rest, kind="stable")
         rest = rest[order]
         value = value[order]
         amp, self.amp = self.amp, None
@@ -272,7 +267,7 @@ class _State:
         The amplitudes are scaled by r = 1/sqrt(2) first, then a pair of
         bit-0 amplitude p and bit-1 amplitude a (0 where absent) becomes
         p·r + a·r and p·r − a·r."""
-        keys, _, amp, slot = self._group((qubit,), None)
+        keys, _, amp, slot = self._group((qubit,))
         amp *= _INV_SQRT2
         block = np.zeros(keys.size << 1)
         block[slot] = amp
@@ -291,7 +286,7 @@ class _State:
         where j is absent, so G groups make G·2^k entries; that count is
         checked against 2^cap before they are made (ResourceError)."""
         k = len(qubits)
-        keys, starts, amp, slot = self._group(qubits, "stable")
+        keys, starts, amp, slot = self._group(qubits)
         size = keys.size << k
         if size > 1 << cap:
             raise ResourceError(f"support of {size} amplitudes exceeds the cap of {cap} qubits")
