@@ -32,7 +32,12 @@ byte-identical. The families are
 - ``statevector``: the ``statevector`` amplitudes, as hex of their raw
   bytes, of 200 seeded random circuits of 3-12 qubits with 40 gates drawn
   from x, h, z, cx, ccx, mcx, mcz and lookup; every other circuit starts
-  with an H on each qubit, so its gates run at full support.
+  with an H on each qubit, so its gates run at full support;
+- ``wide``: ``scan_success_probability`` at n = 1024 and 4096 (m = 8,
+  three mismatched rows, k = 0..3, plain and dual) and ``emit_histogram``
+  at n = 1024 in the optimal, qvmp, explicit (2 iterations) and dual
+  modes, so the engine's outputs are pinned on supports of thousands of
+  addresses.
 
 The unlowered ``search`` and ``builders`` dumps show a table lookup as one
 ``lookup`` gate since that op was added, and a diffuser as one ``diffuse``
@@ -82,6 +87,11 @@ VERIFY_MODES = (("qvmp", None), ("dual", None), ("explicit", 0), ("explicit", 2)
 SEARCH_SIZES = ((4, 4), (8, 8), (16, 16), (32, 6), (64, 8))
 STATEVECTOR_KINDS = ("x", "h", "z", "cx", "ccx", "mcx", "mcz", "lookup")
 SCALING_GRID = Path(__file__).with_name("scaling_grid.json")
+# (n, mismatches) of each wide scan, and (mode, explicit iterations,
+# mismatches) of each wide histogram at n = 1024
+WIDE_SCANS = ((1024, 3), (4096, 3))
+WIDE_HISTOGRAMS = (("optimal", None, 3), ("qvmp", None, 3), ("explicit", 2, 3),
+                   ("dual", None, 1021))
 
 
 def flipped_product(n: int, seed: int):
@@ -224,6 +234,17 @@ def statevector_lines():
         yield statevector(random_circuit(seed)).amplitudes.tobytes().hex()
 
 
+def wide_lines():
+    for n, mismatches in WIDE_SCANS:
+        inst = generate_instance(n, 8, mismatches, seed=n)
+        for dual in (False, True):
+            yield repr(scan_success_probability(inst, 3, dual=dual))
+    for mode, explicit, mismatches in WIDE_HISTOGRAMS:
+        inst = generate_instance(1024, 8, mismatches, seed=mismatches)
+        plan = plan_iterations(1024, len(inst.solutions), mode, explicit)
+        yield json.dumps(emit_histogram(inst, plan, 4096, mismatches), sort_keys=True)
+
+
 FAMILIES = {
     "verify": verify_lines,
     "metrics": metrics_lines,
@@ -236,6 +257,7 @@ FAMILIES = {
     "scaling": scaling_lines,
     "verify_modes": verify_modes_lines,
     "statevector": statevector_lines,
+    "wide": wide_lines,
 }
 
 

@@ -62,6 +62,10 @@ MEASURE = "measure"
 
 KINDS = frozenset({X, H, Z, CX, CCX, MCX, MCZ, LOOKUP, DIFFUSE, MEASURE})
 BASIS_KINDS = frozenset({X, H, Z, CX, CCX, MEASURE})
+# kind -> (fewest, most) controls of a one-target gate; a lookup and a
+# diffuse have their own checks
+_CONTROL_COUNTS = {X: (0, 0), H: (0, 0), Z: (0, 0), MEASURE: (0, 0), CX: (1, 1),
+                   CCX: (2, 2), MCX: (3, float("inf")), MCZ: (1, float("inf"))}
 
 
 def _x_kind(k: int) -> str:
@@ -151,8 +155,14 @@ class Circuit:
     def append(self, gate: Gate) -> None:
         if self._frozen:
             raise ContractError("circuit is frozen")
-        if gate.kind not in KINDS:
-            raise ContractError(f"unknown gate kind {gate.kind!r}")
+        counts = _CONTROL_COUNTS.get(gate.kind)
+        if counts is None:
+            if gate.kind not in KINDS:
+                raise ContractError(f"unknown gate kind {gate.kind!r}")
+        elif len(gate.targets) != 1 or not counts[0] <= len(gate.controls) <= counts[1]:
+            low, high = counts
+            raise ContractError(f"{gate.kind} needs one target and "
+                                f"{'' if low == high else 'at least '}{low} controls")
         qubits = gate.qubits()
         if len(set(qubits)) != len(qubits):
             raise ContractError("controls and targets must be disjoint")
@@ -346,38 +356,22 @@ def inverse(c: Circuit) -> Circuit:
     return out
 
 
-def _row(g: Gate, j: int) -> tuple[list[int], list[int]]:
-    """Row ``j`` of a lookup's expansion in written order: the address
-    qubits its X gates select on (where the row index has a 0 bit) and the
-    data qubits it writes (where the row's word has a 1 bit).
-
-    The row is those X gates, one X controlled by the whole address onto
-    each written qubit, and the X gates again. Rows run 0..n-1; ``reverse``
-    reads the whole gate list backwards, so row j is then row n-1-j with
-    its flips and writes in reverse order.
-    """
-    r = len(g.table) - 1 - j if g.reverse else j
-    word = g.table[r]
-    flips = [q for i, q in enumerate(g.controls) if not r >> i & 1]
-    # one pass over the word's bits, low first: no shift of a wide word per bit
-    writes = [q for q, bit in zip(g.targets, bin(word)[:1:-1]) if bit == "1"]
-    if g.reverse:
-        flips.reverse()
-        writes.reverse()
-    return flips, writes
-
-
 def _expansion(g: Gate) -> list[Gate]:
-    """The gates a lookup stands for, row by row (``_row``); the select
-    and write gates are made once and shared by every row."""
-    select = {q: Gate(X, (), (q,)) for q in g.controls}
-    write = {q: Gate(_x_kind(len(g.controls)), g.controls, (q,)) for q in g.targets}
+    """The gates a lookup stands for. Row r = 0..n-1 is an X on each
+    address qubit where r has a 0 bit (the select), one X controlled by the
+    whole address onto each data qubit where the row's word has a 1 bit,
+    and the select again. A ``reverse`` lookup is that list read backwards.
+    The select and write gates are made once and shared by every row."""
+    if g.reverse:
+        return _expansion(replace(g, reverse=False))[::-1]
+    select = [Gate(X, (), (q,)) for q in g.controls]
+    write = [Gate(_x_kind(len(g.controls)), g.controls, (q,)) for q in g.targets]
     gates: list[Gate] = []
-    for j in range(len(g.table)):
-        flips, writes = _row(g, j)
-        xs = [select[q] for q in flips]
+    for r, word in enumerate(g.table):
+        xs = [x for i, x in enumerate(select) if not r >> i & 1]
         gates += xs
-        gates += [write[q] for q in writes]
+        # one pass over the word's bits, low first: no shift of a wide word per bit
+        gates += [w for w, bit in zip(write, bin(word)[:1:-1]) if bit == "1"]
         gates += xs
     return gates
 

@@ -15,6 +15,7 @@ from .errors import FormatError, QvmpError
 from .grover import plan_iterations, scan_success_probability
 from .runner import (
     DEFAULT_METRICS_GRID,
+    ITERATION_MODES,
     ExperimentConfig,
     emit_histogram,
     emit_metrics,
@@ -56,8 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("a", metavar="A", help="matrix file (text or JSON)")
     v.add_argument("b", metavar="B")
     v.add_argument("c", metavar="C")
-    v.add_argument("--mode", default="optimal",
-                   choices=["optimal", "qvmp", "explicit", "dual"])
+    v.add_argument("--mode", default="optimal", choices=ITERATION_MODES)
     v.add_argument("--iterations", type=int, default=None,
                    help="iteration count for --mode explicit")
     v.add_argument("--shots", type=int, default=1024)
@@ -67,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("histogram", help="sample the search circuit address register")
     _add_common(h)
-    h.add_argument("--mode", default="optimal",
-                   choices=["optimal", "qvmp", "explicit", "dual"])
+    h.add_argument("--mode", default="optimal", choices=ITERATION_MODES)
     h.add_argument("--iterations", type=int, default=None)
     h.add_argument("--shots", type=int, default=4096)
     h.add_argument("--out", default=None)

@@ -9,16 +9,17 @@ indices with nonzero amplitude and a float64 array of their amplitudes
 (the gate set is real). The stored indices are the true ones, and each
 gate is applied as it comes: an X is one index XOR, a controlled-X gate is
 one masked index XOR, a table lookup gathers each index's address bits and
-XORs in that row's word, spread onto the data qubits (one array of those
-masks per table, data qubits and evolution), and Z and MCZ flip the sign
-of the matching entries. H and a diffuse share one kernel: a stable sort
+XORs in that row's word, spread onto the data qubits (the whole table
+spread in one NumPy pass, once per table, data qubits and evolution), and
+Z and MCZ flip the sign of the matching entries. H and a diffuse share one kernel: a stable sort
 puts the entries into groups that agree outside the op's qubits (one for
 H, the register for a diffuse), each group fills its 2^k slots of a block,
 the op rewrites the block (p·r ± a·r for H, one reflection about the mean
 for a diffuse, not the H and X layers it lowers to) and the block becomes
-the new state, with amplitudes that cancelled pruned. Address bits are
-gathered, and table words spread, with one shift and mask when the qubits
-are a contiguous ascending run. At each diffuser every ancilla of a search
+the new state, with amplitudes that cancelled pruned. Every index bit is
+placed by ``_spread`` and read by ``_gather`` (gate masks, group keys and
+slot offsets, table words, outcome keys), with one shift and mask when the
+qubits are a contiguous ascending run. At each diffuser every ancilla of a search
 circuit is back at its loaded value, so the state is one group, and
 between diffusers every ancilla is a function of the address, so the
 support never exceeds the n addresses whatever the register width. A run
@@ -180,8 +181,11 @@ def _run_start(qubits) -> int | None:
     return None
 
 
-def _spread(value: int, qubits) -> int:
-    """Index bits holding ``value``: bit i of it lands on ``qubits[i]``."""
+def _spread(value, qubits):
+    """Index bits holding ``value``: bit i of it lands on ``qubits[i]``.
+    ``value`` is a Python int or an int64 array (each element spread); -1
+    gives the mask of ``qubits``. A qubit listed twice gets the OR of its
+    bits."""
     start = _run_start(qubits)
     if start is not None:
         return (value & ((1 << len(qubits)) - 1)) << start
@@ -192,8 +196,8 @@ def _spread(value: int, qubits) -> int:
 
 
 def _gather(index, qubits):
-    """Inverse of ``_spread``: bit i of the result is bit ``qubits[i]`` of
-    the int64 array ``index``."""
+    """Inverse of ``_spread`` on distinct qubits: bit i of the result is
+    bit ``qubits[i]`` of the int64 array ``index``."""
     start = _run_start(qubits)
     if start is not None:
         return (index >> start) & ((1 << len(qubits)) - 1)
@@ -219,11 +223,8 @@ class _State:
         each group starts in sorted order, the amplitudes in that order and
         each one's slot in a G·2^k block: its group times 2^k plus its
         register value. Releases the state's arrays."""
-        mask = 0
-        for q in qubits:
-            mask |= 1 << q
         value = _gather(self.index, qubits)
-        rest = self.index & ~mask
+        rest = self.index & ~_spread(-1, qubits)
         self.index = None
         order = np.argsort(rest, kind="stable")
         rest = rest[order]
@@ -246,12 +247,10 @@ class _State:
 
     def _ungroup(self, keys: np.ndarray, qubits, block: np.ndarray) -> np.ndarray:
         """Make the state from a G·2^k ``block`` over the groups ``keys``:
-        slot g·2^k + j is key g ORed with value j's index bits
-        (``offsets``, built by doubling). Prunes amplitudes at or below
-        ``_PRUNE_AMPLITUDE`` and returns them."""
-        offsets = np.zeros(1, dtype=np.int64)
-        for q in qubits:
-            offsets = np.concatenate((offsets, offsets | (1 << q)))
+        slot g·2^k + j is key g ORed with value j spread onto ``qubits``.
+        Prunes amplitudes at or below ``_PRUNE_AMPLITUDE`` and returns
+        them."""
+        offsets = _spread(np.arange(1 << len(qubits), dtype=np.int64), qubits)
         index = (keys[:, None] | offsets).ravel()
         keep = np.abs(block) > _PRUNE_AMPLITUDE
         dropped = block[~keep]
@@ -357,22 +356,16 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
                 pruned += float(dropped @ dropped)
                 peak = max(peak, size)
         elif kind in (Z, MCZ):
-            mask = 1 << g.targets[0]
-            for c in g.controls:
-                mask |= 1 << c
+            mask = _spread(-1, g.qubits())
             state.amp[(state.index & mask) == mask] *= -1.0
         elif kind in (CX, CCX, MCX):
-            tmask = 1 << g.targets[0]
-            cmask = 0
-            for c in g.controls:
-                cmask |= 1 << c
-            state.index[(state.index & cmask) == cmask] ^= tmask
+            cmask = _spread(-1, g.controls)
+            state.index[(state.index & cmask) == cmask] ^= 1 << g.targets[0]
         elif kind == LOOKUP:
             key = (id(g.table), g.targets)
             masks = lookups.get(key)
             if masks is None:
-                masks = lookups[key] = np.array([_spread(w, g.targets) for w in g.table],
-                                                dtype=np.int64)
+                masks = lookups[key] = _spread(np.array(g.table, dtype=np.int64), g.targets)
             state.index ^= masks[_gather(state.index, g.controls)]
         elif kind == MEASURE:
             pass  # terminal; sampling happens on the final state
@@ -398,15 +391,10 @@ def statevector(circuit: Circuit, initial: int = 0, *, max_qubits: int | None = 
 
 def _outcome_keys(values, pairs: list[tuple[int, int]], width: int) -> list[str]:
     """Key of each outcome index of a marginal over the sorted qubits of
-    ``pairs``; ``pairs`` maps each qubit to its bit in the key."""
-    rank = {q: r for r, q in enumerate(sorted(q for q, _ in pairs))}
-    keys = []
-    for v in values:
-        bits = 0
-        for q, kbit in pairs:
-            bits |= ((v >> rank[q]) & 1) << kbit
-        keys.append(format(bits, f"0{width}b"))
-    return keys
+    ``pairs``; ``pairs`` maps each qubit to its bit in the key, so bit r of
+    an outcome lands on the key bit of the r-th sorted qubit."""
+    kbits = [kbit for _, kbit in sorted(pairs)]
+    return [format(_spread(v, kbits), f"0{width}b") for v in values]
 
 
 def probabilities(circuit: Circuit, qubits=None, *, stats: dict | None = None) -> dict[str, float]:

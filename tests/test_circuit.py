@@ -14,6 +14,7 @@ from qvmp.circuit import (
     LOOKUP,
     MCX,
     MCZ,
+    MEASURE,
     X,
     Z,
     Circuit,
@@ -126,6 +127,46 @@ class TestConstruction:
         c.mcx([0, 1], 4)
         c.mcx([0, 1, 2], 4)
         assert [g.kind for g in c.gates] == [CX, CCX, MCX]
+
+    def test_append_rejects_malformed_gates(self):
+        # A gate whose shape does not fit its kind would run as another
+        # gate: an X with a control ignores it, an H on two targets acts on
+        # one, and lower would emit a controlled x, h or z as a basis gate.
+        c = Circuit((("q", 5),), classical_bits=1)
+        bad = [
+            Gate(X, (1,), (0,)),
+            Gate(H, (), (0, 1)),
+            Gate(H, (1,), (0,)),
+            Gate(Z, (1,), (0,)),
+            Gate(X, (), ()),
+            Gate(MEASURE, (1,), (0,), classical=0),
+            Gate(MEASURE, (), (0, 1), classical=0),
+            Gate(CX, (), (0,)),
+            Gate(CX, (1, 2), (0,)),
+            Gate(CX, (1,), (0, 2)),
+            Gate(CCX, (1,), (0,)),
+            Gate(CCX, (1, 2, 3), (0,)),
+            Gate(MCX, (1, 2), (0,)),
+            Gate(MCX, (1, 2, 3), (0, 4)),
+            Gate(MCZ, (), (0,)),
+            Gate(MCZ, (1, 2), ()),
+        ]
+        for g in bad:
+            with pytest.raises(ContractError):
+                c.append(g)
+        assert c.gates == []
+        good = [
+            Gate(X, (), (0,)),
+            Gate(CX, (1,), (0,)),
+            Gate(CCX, (1, 2), (0,)),
+            Gate(MCX, (1, 2, 3, 4), (0,)),
+            Gate(MCZ, (1,), (0,)),
+            Gate(MCZ, (1, 2, 3), (0,)),
+            Gate(MEASURE, (), (0,), classical=0),
+        ]
+        for g in good:
+            c.append(g)
+        assert c.gates == good
 
 
 class TestCompose:
@@ -832,8 +873,8 @@ class TestLoweredMetrics:
     def test_no_row_is_read_write_by_write(self, monkeypatch, reverse):
         # 16 rows onto 2 data qubits, in laying order: the second data bit is
         # first written at the last row, and zero-word rows sit between. A
-        # lay reads only a row's first writes, never a whole row (_row), and
-        # the depths stay exact.
+        # lay reads only a row's first writes, never the lookup's expansion
+        # (_expansion), and the depths stay exact.
         words = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 3)
         c = Circuit((("q", 7),))
         c.mcx([0, 1, 2], 4)  # the data qubits start late
@@ -841,9 +882,10 @@ class TestLoweredMetrics:
         c.append(Gate(LOOKUP, (0, 1, 2, 3), (4, 5), table=words[::-1] if reverse else words,
                       reverse=reverse))
         c.mcz([3, 4, 5], 6)
-        row = circuit_module._row
+        expansion = circuit_module._expansion
         calls = []
-        monkeypatch.setattr(circuit_module, "_row", lambda *a: calls.append(a) or row(*a))
+        monkeypatch.setattr(circuit_module, "_expansion",
+                            lambda g: calls.append(g) or expansion(g))
         for walk in (metrics, lowered_metrics):
             calls.clear()
             walk(c)

@@ -256,7 +256,7 @@ class TestSparseEngine:
     def test_lookup_masks_spread_once_per_table(self, fold_y, monkeypatch):
         # Each iteration's oracle loads the table and its reverse=True copy
         # unloads it: six lookups on one table, whose n words are spread
-        # onto the data qubits once per evolution.
+        # onto the data qubits in one call per evolution.
         import qvmp.simulator as simulator
 
         n = 16
@@ -265,14 +265,16 @@ class TestSparseEngine:
         assert len(lookups) == 6
         assert sum(g.reverse for g in lookups) == 3
         assert len({id(g.table) for g in lookups}) == 1
+        assert len({g.targets for g in lookups}) == 1
+        data = lookups[0].targets
         calls = []
         spread = simulator._spread
         monkeypatch.setattr(simulator, "_spread",
-                            lambda *a: calls.append(1) or spread(*a))
+                            lambda value, qubits: calls.append(qubits) or spread(value, qubits))
         _evolve(search)
-        assert len(calls) == n
+        assert calls.count(data) == 1
         _evolve(search)
-        assert len(calls) == 2 * n
+        assert calls.count(data) == 2
 
     def test_few_hadamards_stay_sparse(self):
         c = Circuit((("q", 12),))
@@ -461,7 +463,8 @@ class TestDiffuse:
 @given(st.data())
 def test_gather_and_spread_match_the_bit_loop(data):
     # A contiguous ascending run takes one shift and mask; any other qubit
-    # list goes bit by bit. Both give the per-bit loop's result exactly.
+    # list goes bit by bit. Both give the per-bit loop's result exactly, on
+    # an int, on an int64 array and on -1 (every listed qubit's bit).
     n = data.draw(st.integers(1, SPARSE_MAX_QUBITS))
     k = data.draw(st.integers(1, min(n, 10)))
     if data.draw(st.booleans()):
@@ -478,6 +481,14 @@ def test_gather_and_spread_match_the_bit_loop(data):
     assert got.dtype == np.int64 and np.array_equal(got, gathered)
     value = data.draw(st.integers(0, (1 << k) - 1))
     assert _spread(value, qubits) == sum(((value >> i) & 1) << q for i, q in enumerate(qubits))
+    assert _spread(-1, qubits) == sum(1 << q for q in qubits)
+    values = np.array(data.draw(st.lists(st.integers(0, (1 << k) - 1), max_size=20)),
+                      dtype=np.int64)
+    spread = _spread(values, qubits)
+    assert spread.dtype == np.int64
+    assert spread.tolist() == [sum(((v >> i) & 1) << q for i, q in enumerate(qubits))
+                               for v in values.tolist()]
+    assert np.array_equal(_gather(spread, qubits), values)
 
 
 class TestStatevector:
