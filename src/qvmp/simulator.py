@@ -11,20 +11,20 @@ gate is applied as it comes: an X is one index XOR, a controlled-X gate is
 one masked index XOR, a table lookup gathers each index's address bits and
 XORs in that row's word, spread onto the data qubits (the whole table
 spread in one NumPy pass, once per table, data qubits and evolution), and
-Z and MCZ flip the sign of the matching entries. H and a diffuse share one kernel: a stable sort
-puts the entries into groups that agree outside the op's qubits (one for
-H, the register for a diffuse), each group fills its 2^k slots of a block,
-the op rewrites the block (p·r ± a·r for H, one reflection about the mean
-for a diffuse, not the H and X layers it lowers to) and the block becomes
-the new state, with amplitudes that cancelled pruned. Every index bit is
-placed by ``_spread`` and read by ``_gather`` (gate masks, group keys and
-slot offsets, table words, outcome keys), with one shift and mask when the
-qubits are a contiguous ascending run. At each diffuser every ancilla of a search
-circuit is back at its loaded value, so the state is one group, and
-between diffusers every ancilla is a function of the address, so the
-support never exceeds the n addresses whatever the register width. A run
-accepts up to ``SPARSE_MAX_QUBITS`` (62) qubits, the width of an int64
-index.
+Z and MCZ flip the sign of the matching entries. H and a diffuse share one
+kernel: a stable sort puts the entries into groups that agree outside the
+op's qubits (one for H, the register for a diffuse), each group fills its
+2^k slots of a block, the op rewrites the block (p·r ± a·r for H, one
+reflection about the mean for a diffuse, not the H and X layers it lowers
+to) and the block becomes the new state, with amplitudes that cancelled
+pruned. Every index bit is placed by ``_spread`` and read by ``_gather``
+(gate masks, group keys and slot offsets, table words, outcome keys), with
+one shift and mask when the qubits are a contiguous ascending run. At each
+diffuser every ancilla of a search circuit is back at its loaded value, so
+the state is one group, and between diffusers every ancilla is a function
+of the address, so the support never exceeds the n addresses whatever the
+register width. A run accepts up to ``SPARSE_MAX_QUBITS`` (62) qubits, the
+width of an int64 index.
 
 The qubit cap (``QVMP_SIM_MAX_QUBITS``, a nonnegative integer, default 26,
 or ``statevector``'s ``max_qubits``) bounds the amplitudes held, 16 bytes
