@@ -38,6 +38,12 @@ byte-identical. The families are
   at n = 1024 in the optimal, qvmp, explicit (2 iterations) and dual
   modes, so the engine's outputs are pinned on supports of thousands of
   addresses.
+- ``blocks``: the ``statevector`` amplitudes, as hex, of 200 seeded random
+  circuits of 4-12 qubits built from segments, each appended as it is or
+  as a ``repeat`` block of 0-4 passes, whose gates come as runs of cx onto
+  one target (controls repeated), runs of X (qubits repeated), z, mcz,
+  ccx, h, lookup and diffuse; every other circuit starts with an H on
+  each qubit. It pins how the engine runs blocks and gate runs.
 
 The unlowered ``search`` and ``builders`` dumps show a table lookup as one
 ``lookup`` gate since that op was added, and a diffuser as one ``diffuse``
@@ -45,8 +51,9 @@ gate since that op was added, so only the lowered families compare across
 those two changes; the metrics in ``search`` stay the same across both.
 
 Only long-standing public API is used, so the script runs unchanged on
-older checkouts, except the ``statevector`` family: it needs the lookup
-op (``Circuit.lookup``).
+older checkouts, except the ``statevector`` family, which needs the lookup
+op (``Circuit.lookup``), and the ``blocks`` family, which also needs the
+diffuse op and ``Circuit.repeat``.
 """
 from __future__ import annotations
 
@@ -86,6 +93,7 @@ HISTOGRAM_CASES = (
 VERIFY_MODES = (("qvmp", None), ("dual", None), ("explicit", 0), ("explicit", 2))
 SEARCH_SIZES = ((4, 4), (8, 8), (16, 16), (32, 6), (64, 8))
 STATEVECTOR_KINDS = ("x", "h", "z", "cx", "ccx", "mcx", "mcz", "lookup")
+BLOCK_KINDS = ("cx run", "x run", "z", "mcz", "ccx", "h", "lookup", "diffuse")
 SCALING_GRID = Path(__file__).with_name("scaling_grid.json")
 # (n, mismatches) of each wide scan, and (mode, explicit iterations,
 # mismatches) of each wide histogram at n = 1024
@@ -234,6 +242,51 @@ def statevector_lines():
         yield statevector(random_circuit(seed)).amplitudes.tobytes().hex()
 
 
+def block_circuit(seed: int) -> circuit.Circuit:
+    """A ``blocks`` family circuit: 4-12 qubits, an H layer first on even
+    seeds, then 2-4 segments of 3-8 gates or runs, each appended as it is
+    or repeated 0-4 times."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    c = circuit.Circuit((("q", n),))
+    if seed % 2 == 0:
+        for q in range(n):
+            c.h(q)
+    for _ in range(rng.randint(2, 4)):
+        seg = circuit.Circuit((("q", n),))
+        for _ in range(rng.randint(3, 8)):
+            kind = rng.choice(BLOCK_KINDS)
+            order = rng.sample(range(n), n)
+            if kind == "cx run":
+                for _ in range(rng.randint(1, 6)):
+                    seg.cx(rng.choice(order[1:]), order[0])
+            elif kind == "x run":
+                for _ in range(rng.randint(1, 4)):
+                    seg.x(rng.randrange(n))
+            elif kind in ("z", "h"):
+                getattr(seg, kind)(order[0])
+            elif kind == "mcz":
+                seg.mcz(order[1:1 + rng.randint(1, 4)], order[0])
+            elif kind == "ccx":
+                seg.ccx(order[1], order[2], order[0])
+            elif kind == "lookup":
+                k = rng.randint(1, 3)
+                d = rng.randint(1, min(3, n - k))
+                seg.lookup(order[:k], order[k:k + d], [rng.randrange(1 << d) for _ in range(1 << k)])
+            else:
+                seg.diffuse(order[:rng.randint(1, 4)])
+        if rng.random() < 0.5:
+            c.repeat(seg, rng.randint(0, 4))
+        else:
+            c.extend(seg)
+    return c
+
+
+def blocks_lines():
+    for seed in range(200):
+        yield statevector(block_circuit(seed)).amplitudes.tobytes().hex()
+
+
 def wide_lines():
     for n, mismatches in WIDE_SCANS:
         inst = generate_instance(n, 8, mismatches, seed=n)
@@ -258,6 +311,7 @@ FAMILIES = {
     "verify_modes": verify_modes_lines,
     "statevector": statevector_lines,
     "wide": wide_lines,
+    "blocks": blocks_lines,
 }
 
 

@@ -96,9 +96,10 @@ class Circuit:
     """Ordered gate list over named registers.
 
     Built single-threaded, then frozen; a frozen circuit is immutable and
-    safe to share. Measurement is terminal per qubit. ``blocks`` lists
-    (start, body length, t) for each run of ``gates`` that ``repeat``
-    wrote as t copies of one body, in gate order.
+    safe to share. Measurement is terminal per qubit, and each classical
+    bit is written by at most one measurement. ``blocks`` lists (start,
+    body length, t) for each run of ``gates`` that ``repeat`` wrote as t
+    copies of one body, in gate order.
     """
 
     def __init__(self, registers: Sequence[tuple[str, int]], classical_bits: int = 0):
@@ -111,7 +112,7 @@ class Circuit:
         self.gates: list[Gate] = []
         self.blocks: list[tuple[int, int, int]] = []
         self._frozen = False
-        self._measured: set[int] = set()
+        self._measured: dict[int, int] = {}  # measured qubit -> its classical bit
         self._widths: dict[str, int] = dict(self.registers)
         self._offsets: dict[str, int] = {}
         off = 0
@@ -187,7 +188,9 @@ class Circuit:
         if gate.kind == MEASURE:
             if gate.classical is None or not 0 <= gate.classical < self.classical_bits:
                 raise ContractError("measure needs a declared classical bit")
-            self._measured.add(gate.targets[0])
+            if gate.classical in self._measured.values():
+                raise ContractError(f"classical bit {gate.classical} is already written")
+            self._measured[gate.targets[0]] = gate.classical
         self.gates.append(gate)
 
     def extend(self, other: Circuit, mapping: Sequence | None = None) -> None:
@@ -198,9 +201,9 @@ class Circuit:
         and requires equal widths. ``other``'s gates passed ``append``'s
         checks already and a distinct mapping keeps them valid, so only the
         table and the contracts that depend on this circuit are checked:
-        frozen, gates after measurement, declared classical bits. Nothing
-        is appended when a check fails. ``other``'s blocks come along,
-        shifted to where its gates land.
+        frozen, gates after measurement, declared classical bits not
+        written here yet. Nothing is appended when a check fails.
+        ``other``'s blocks come along, shifted to where its gates land.
         """
         table = self._qubit_map(other, mapping)
         start = len(self.gates)
@@ -213,7 +216,7 @@ class Circuit:
                 for g in other.gates
             ])
         self.blocks += [(s + start, p, t) for s, p, t in other.blocks]
-        self._measured.update([table[q] for q in other._measured])
+        self._measured.update({table[q]: bit for q, bit in other._measured.items()})
 
     def repeat(self, body: Circuit, t: int) -> None:
         """Append ``t`` copies of ``body``'s gates under ``extend``'s checks
@@ -260,10 +263,11 @@ class Circuit:
                 for q in g.qubits():
                     if q in blocked:
                         raise ContractError(f"gate after measurement on qubit {table[q]}")
-        if other._measured:
-            for g in other.gates:
-                if g.kind == MEASURE and not g.classical < self.classical_bits:
-                    raise ContractError("measure needs a declared classical bit")
+        for bit in other._measured.values():
+            if not bit < self.classical_bits:
+                raise ContractError("measure needs a declared classical bit")
+            if bit in self._measured.values():
+                raise ContractError(f"classical bit {bit} is already written")
         return table
 
     def x(self, q) -> None:
@@ -336,7 +340,7 @@ def compose(a: Circuit, b: Circuit, mapping: Sequence | None = None) -> Circuit:
     out = Circuit(a.registers, max(a.classical_bits, b.classical_bits))
     out.gates = list(a.gates)
     out.blocks = list(a.blocks)
-    out._measured = set(a._measured)
+    out._measured = dict(a._measured)
     out.extend(b, mapping)
     return out
 
@@ -764,7 +768,7 @@ def lower(c: Circuit) -> Circuit:
             emit(Gate(H, (), (t,)))
         else:  # pragma: no cover - KINDS is closed
             raise ContractError(f"cannot lower {g.kind}")
-    out._measured = set(c._measured)
+    out._measured = dict(c._measured)
     return out
 
 

@@ -6,15 +6,22 @@ same rule on classical bits: bit 0 is the rightmost character.
 
 Every evolution runs on a sparse state: an int64 array of the basis
 indices with nonzero amplitude and a float64 array of their amplitudes
-(the gate set is real). The stored indices are the true ones, and each
-gate is applied as it comes: an X is one index XOR, a controlled-X gate is
-one masked index XOR, a table lookup gathers each index's address bits and
-XORs in that row's word, spread onto the data qubits (the whole table
-spread in one NumPy pass, once per table, data qubits and evolution), and
-Z and MCZ flip the sign of the matching entries. H and a diffuse share one
-kernel: a stable sort puts the entries into groups that agree outside the
-op's qubits (one for H, the register for a diffuse), each group fills its
-2^k slots of a block, the op rewrites the block (p·r ± a·r for H, one
+(the gate set is real). The stored indices are the true ones. An
+evolution compiles each run of the circuit (a repeat block's body, or the
+gates between blocks) into engine ops once (``_compile``, the one home of
+each gate rule) and applies a block's ops t times (``_apply``). A run of X
+gates is one index XOR, a run of cx onto one target one parity op (the
+target flips by the parity of the index bits under the XOR of the control
+bits, so a repeated control cancels), any other controlled-X gate one
+masked index XOR, and Z and MCZ a sign flip of the matching entries; the
+masks are made once per run. A table lookup gathers each index's address
+bits and XORs in that row's word, spread onto the data qubits (the whole
+table spread in one NumPy pass, once per table, data qubits and
+evolution). So a pass over a search's iteration body costs the same
+number of NumPy passes whatever the register width. H and a diffuse share
+one kernel: a stable sort puts the entries into groups that agree outside
+the op's qubits (one for H, the register for a diffuse), each group fills
+its 2^k slots of a block, the op rewrites the block (p·r ± a·r for H, one
 reflection about the mean for a diffuse, not the H and X layers it lowers
 to) and the block becomes the new state, with amplitudes that cancelled
 pruned. Every index bit is placed by ``_spread`` and read by ``_gather``
@@ -39,7 +46,8 @@ Measurement is two steps. ``_outcomes`` evolves a circuit that ends in
 measurement and marginalizes onto its measured qubits, once; the
 ``_Outcomes`` it returns holds that distribution's inverse-CDF table, and
 its ``sample`` draws a histogram for a shot count and seed from the table
-without evolving again. ``run`` is one ``_outcomes`` and one ``sample``;
+without evolving again, counting the sorted draws by one search between
+them and the table. ``run`` is one ``_outcomes`` and one ``sample``;
 the verification driver samples one ``_Outcomes`` for every trial that
 plans no iterations.
 """
@@ -53,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CCX, CX, DIFFUSE, H, LOOKUP, MCX, MCZ, MEASURE, X, Z, Circuit
+from .circuit import CCX, CX, DIFFUSE, H, LOOKUP, MCX, MCZ, MEASURE, X, Z, Circuit, Gate, _runs
 from .errors import ContractError, FormatError, ResourceError
 
 __all__ = [
@@ -226,7 +234,7 @@ class _State:
         value = _gather(self.index, qubits)
         rest = self.index & ~_spread(-1, qubits)
         self.index = None
-        order = np.argsort(rest, kind="stable")
+        order = rest.argsort(kind="stable")
         rest = rest[order]
         value = value[order]
         amp, self.amp = self.amp, None
@@ -235,10 +243,10 @@ class _State:
         first = np.empty(rest.size, dtype=bool)  # where each group starts
         first[0] = True
         np.not_equal(rest[1:], rest[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
+        starts = first.nonzero()[0]
         keys = rest[starts]
         del rest
-        slot = np.cumsum(first)  # each entry's group, from 1
+        slot = first.cumsum()  # each entry's group, from 1
         del first
         slot -= 1
         slot <<= len(qubits)
@@ -272,9 +280,11 @@ class _State:
         block[slot] = amp
         del amp, slot
         p, a = block[0::2], block[1::2]
-        block = np.stack((p + a, p - a), axis=1).ravel()
-        del p, a
-        return self._ungroup(keys, (qubit,), block)
+        out = np.empty(block.size)
+        np.add(p, a, out=out[0::2])
+        np.subtract(p, a, out=out[1::2])
+        del block, p, a
+        return self._ungroup(keys, (qubit,), out)
 
     def diffuse(self, qubits: tuple[int, ...], cap: int) -> np.ndarray:
         """Inversion about the mean on the register ``qubits``, I - 2|s><s|.
@@ -289,7 +299,7 @@ class _State:
         size = keys.size << k
         if size > 1 << cap:
             raise ResourceError(f"support of {size} amplitudes exceeds the cap of {cap} qubits")
-        block = np.repeat(np.add.reduceat(amp, starts) * (-2.0 / (1 << k)), 1 << k)
+        block = (np.add.reduceat(amp, starts) * (-2.0 / (1 << k))).repeat(1 << k)
         del starts
         block[slot] += amp
         del amp, slot
@@ -306,10 +316,114 @@ class _State:
         return np.bincount(outcome, weights=self.amp * self.amp, minlength=1 << k)
 
 
+# Engine op codes beyond the gate kinds: a parity op flips its target by
+# the parity of the index bits under its mask.
+_PARITY = "parity"
+
+
+def _compile(gates: list[Gate], lookups: dict) -> list[tuple]:
+    """Engine ops for ``gates``, applied in order by ``_apply``; the one
+    place each gate rule is written. Each op is (code, a, b):
+
+    - (X, bits, None): a run of X gates, one index XOR by the XOR of their
+      bits, so a repeated qubit cancels;
+    - (_PARITY, cmask, t): a run of two or more single-control cx onto
+      target t, ``index ^= parity(index & cmask) << t`` with ``cmask`` the
+      XOR of the control bits; one cx, or a run whose controls reduce to
+      one bit, is a controlled X, and a run whose controls all cancel
+      makes no op;
+    - (CX, cmask, bit): a controlled X (cx, ccx or mcx), a masked index XOR;
+    - (Z, mask, None): Z or MCZ, a sign flip of the entries with every bit
+      of ``mask`` set;
+    - (LOOKUP, masks, address): XOR in the mask of each index's address, the
+      table spread onto the data qubits in one pass, once per (table, data
+      qubits) in ``lookups``, which a lookup and its reverse uncompute share;
+    - (H, qubit, None) and (DIFFUSE, qubits, None): ``_State.h`` and
+      ``_State.diffuse``, whose groups and slots are made as they run.
+
+    A measurement makes no op; sampling happens on the final state."""
+    ops: list[tuple] = []
+    i, end = 0, len(gates)
+    while i < end:
+        g = gates[i]
+        kind = g.kind
+        i += 1
+        if kind == X:  # a run of X: one XOR
+            bits = 1 << g.targets[0]
+            while i < end and gates[i].kind == X:
+                bits ^= 1 << gates[i].targets[0]
+                i += 1
+            if bits:
+                ops.append((X, bits, None))
+        elif kind == CX:  # a run of cx onto one target: one parity op
+            cmask = 1 << g.controls[0]
+            while i < end and gates[i].kind == CX and gates[i].targets == g.targets:
+                cmask ^= 1 << gates[i].controls[0]
+                i += 1
+            if cmask & (cmask - 1):
+                ops.append((_PARITY, cmask, g.targets[0]))
+            elif cmask:
+                ops.append((CX, cmask, 1 << g.targets[0]))
+        elif kind == CCX or kind == MCX:
+            ops.append((CX, _spread(-1, g.controls), 1 << g.targets[0]))
+        elif kind == Z or kind == MCZ:
+            ops.append((Z, _spread(-1, g.qubits()), None))
+        elif kind == LOOKUP:
+            key = (id(g.table), g.targets)
+            masks = lookups.get(key)
+            if masks is None:
+                masks = lookups[key] = _spread(np.array(g.table, dtype=np.int64), g.targets)
+            ops.append((LOOKUP, masks, g.controls))
+        elif kind == H:
+            ops.append((H, g.targets[0], None))
+        elif kind == DIFFUSE:
+            ops.append((DIFFUSE, g.targets, None))
+        elif kind != MEASURE:  # pragma: no cover - KINDS is closed
+            raise ContractError(f"cannot simulate {kind}")
+    return ops
+
+
+def _apply(state: _State, ops: list[tuple], limit: int, tally: list | None) -> None:
+    """Run ``_compile``'s ops on ``state``. After each H and diffuse the
+    support is checked against 2^``limit``, and ``tally``, when given, is
+    [peak support, pruned mass], updated in place. No local name holds
+    state.index or state.amp across an H or a diffuse, so the arrays they
+    replace are freed."""
+    for code, a, b in ops:
+        if code == _PARITY:
+            state.index ^= np.left_shift(np.bitwise_count(state.index & a) & 1, b,
+                                         dtype=np.int64)
+        elif code == CX:
+            state.index[(state.index & a) == a] ^= b
+        elif code == X:
+            state.index ^= a
+        elif code == Z:
+            state.amp[(state.index & a) == a] *= -1.0
+        elif code == LOOKUP:
+            state.index ^= a[_gather(state.index, b)]
+        else:
+            dropped = state.h(a) if code == H else state.diffuse(a, limit)
+            size = state.index.size
+            if size > 1 << limit:
+                raise ResourceError(
+                    f"support of {size} amplitudes exceeds the cap of {limit} qubits"
+                )
+            if tally is not None:
+                tally[0] = max(tally[0], size)
+                tally[1] += float(dropped @ dropped)
+
+
 def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None,
             stats: dict | None = None) -> _State:
     """Run all unitary gates on a basis state, or on ``start`` when it is
     an evolved state of the same width (which is then consumed).
+
+    Each run that ``circuit._runs`` yields (a block's body, or the gates
+    between blocks) is compiled once into engine ops (``_compile``), and a
+    block's ops are applied t times (``_apply``), so a pass over a search's
+    iteration body costs the same number of NumPy passes whatever the
+    register width: its inner product is one parity op, not one masked XOR
+    per cx.
 
     ``cap`` bounds the support (default ``qubit_cap()``): an H that leaves
     more than 2^cap entries after pruning, or a diffuse whose groups make
@@ -331,48 +445,14 @@ def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None
         if not 0 <= start < (1 << n):
             raise ContractError(f"initial basis index {start} out of range")
         state = _State(n, np.array([start], dtype=np.int64), np.ones(1))
-    # No local name holds state.index or state.amp across an H or a
-    # diffuse, so the arrays they replace are freed.
-    peak = state.index.size
-    pruned = 0.0
-    # (id of a lookup table, data qubits) -> data masks; a lookup and its
-    # reverse=True uncompute share one table, so they share one entry
-    lookups: dict[tuple, np.ndarray] = {}
-    for g in circuit.gates:
-        kind = g.kind
-        if kind == X:
-            state.index ^= 1 << g.targets[0]
-        elif kind == H or kind == DIFFUSE:
-            if kind == H:
-                dropped = state.h(g.targets[0])
-            else:
-                dropped = state.diffuse(g.targets, limit)
-            size = state.index.size
-            if size > 1 << limit:
-                raise ResourceError(
-                    f"support of {size} amplitudes exceeds the cap of {limit} qubits"
-                )
-            if stats is not None:
-                pruned += float(dropped @ dropped)
-                peak = max(peak, size)
-        elif kind in (Z, MCZ):
-            mask = _spread(-1, g.qubits())
-            state.amp[(state.index & mask) == mask] *= -1.0
-        elif kind in (CX, CCX, MCX):
-            cmask = _spread(-1, g.controls)
-            state.index[(state.index & cmask) == cmask] ^= 1 << g.targets[0]
-        elif kind == LOOKUP:
-            key = (id(g.table), g.targets)
-            masks = lookups.get(key)
-            if masks is None:
-                masks = lookups[key] = _spread(np.array(g.table, dtype=np.int64), g.targets)
-            state.index ^= masks[_gather(state.index, g.controls)]
-        elif kind == MEASURE:
-            pass  # terminal; sampling happens on the final state
-        else:  # pragma: no cover - KINDS is closed
-            raise ContractError(f"cannot simulate {kind}")
+    tally = None if stats is None else [state.index.size, 0.0]
+    lookups: dict[tuple, np.ndarray] = {}  # (id of a table, data qubits) -> masks
+    for gates, t in _runs(circuit):
+        ops = _compile(gates, lookups)
+        for _ in range(t):
+            _apply(state, ops, limit, tally)
     if stats is not None:
-        stats.update(engine="sparse", peak_support=int(peak), pruned_mass=pruned)
+        stats.update(engine="sparse", peak_support=int(tally[0]), pruned_mass=tally[1])
     return state
 
 
@@ -394,7 +474,8 @@ def _outcome_keys(values, pairs: list[tuple[int, int]], width: int) -> list[str]
     ``pairs``; ``pairs`` maps each qubit to its bit in the key, so bit r of
     an outcome lands on the key bit of the r-th sorted qubit."""
     kbits = [kbit for _, kbit in sorted(pairs)]
-    return [format(_spread(v, kbits), f"0{width}b") for v in values]
+    fmt = f"0{width}b"
+    return [format(v, fmt) for v in _spread(np.asarray(values, dtype=np.int64), kbits).tolist()]
 
 
 def probabilities(circuit: Circuit, qubits=None, *, stats: dict | None = None) -> dict[str, float]:
@@ -430,7 +511,10 @@ def run(circuit: Circuit, shots: int, seed: int, *, stats: dict | None = None) -
 class _Outcomes:
     """The Born distribution of a circuit's measured qubits, from one
     evolution, sampled as often as needed: the marginal, its inverse-CDF
-    table, and the histogram key of each outcome index drawn so far."""
+    table (the running sum of the marginal, scaled so its last entry is
+    exactly 1.0), and the histogram key of each outcome index drawn so
+    far. Each classical bit is written by one measurement, so distinct
+    outcomes have distinct keys."""
 
     def __init__(self, marg: np.ndarray, measured: list[tuple[int, int]], width: int) -> None:
         self.marg = marg
@@ -443,34 +527,36 @@ class _Outcomes:
 
     def sample(self, shots: int, seed: int) -> Histogram:
         """Draw shots by one inverse-CDF pass over the cached table.
-        Deterministic per seed."""
+        Deterministic per seed.
+
+        The uniforms u are sorted and searched once for every CDF entry:
+        the number of draws below ``cdf[i]`` less the number below
+        ``cdf[i - 1]`` is the count of outcome i, the draws that
+        ``searchsorted(cdf, u, side="right")`` sends there. ``cdf[-1]`` is
+        exactly 1.0 and every u is below 1, so the counts sum to ``shots``.
+        The counts come in ascending outcome order."""
         if shots < 1:
             raise ContractError("shots must be >= 1")
         if seed < 0:
             raise ContractError("seed must be >= 0")
-        size = self.marg.size
         u = np.random.default_rng(seed).random(shots)
         u.sort()
-        draws = np.searchsorted(self._cdf, u, side="right")
-        freq = np.bincount(np.minimum(draws, size - 1), minlength=size)
-        values = np.flatnonzero(freq).tolist()
+        below = u.searchsorted(self._cdf)
+        freq = below.copy()  # np.diff(below, prepend=0), without its concatenate
+        freq[1:] -= below[:-1]
+        values = freq.nonzero()[0]
+        freq = freq[values].tolist()
+        values = values.tolist()
         keys = self._keys
         missing = [v for v in values if v not in keys]
         if missing:
             keys.update(zip(missing, _outcome_keys(missing, self._measured, self._width)))
-        counts: dict[str, int] = {}
-        for v, c in zip(values, freq[values].tolist()):
-            key = keys[v]
-            counts[key] = counts.get(key, 0) + c
-        return Histogram(counts, shots)
+        return Histogram({keys[v]: c for v, c in zip(values, freq)}, shots)
 
     def exact(self) -> dict[str, float]:
         """Exact probability of every outcome, keyed like the histogram."""
-        exact: dict[str, float] = {}
         keys = _outcome_keys(range(self.marg.size), self._measured, self._width)
-        for key, p in zip(keys, self.marg.tolist()):
-            exact[key] = exact.get(key, 0.0) + p
-        return exact
+        return dict(zip(keys, self.marg.tolist()))
 
 
 def _outcomes(circuit: Circuit, *, stats: dict | None = None) -> _Outcomes:

@@ -36,7 +36,7 @@ from qvmp.grover import (
     plan_iterations,
 )
 from qvmp.runner import generate_instance
-from qvmp.simulator import statevector
+from qvmp.simulator import run, statevector
 
 
 def random_circuit(num_qubits, num_gates, rng, max_controls=4, with_mcz=True):
@@ -113,6 +113,26 @@ class TestConstruction:
         c = Circuit((("q", 1),))
         with pytest.raises(ContractError):
             c.measure(0, 0)
+
+    def test_classical_bit_written_once(self):
+        # A second measurement into one classical bit is rejected, by
+        # append and by everything built on extend, and nothing is added;
+        # before, the bit read the OR of both qubits.
+        c = Circuit((("q", 2),), classical_bits=2)
+        c.x(0)
+        c.measure(0, 0)
+        with pytest.raises(ContractError, match="classical bit 0 is already written"):
+            c.measure(1, 0)
+        other = Circuit((("q", 2),), classical_bits=2)
+        other.measure(1, 0)
+        with pytest.raises(ContractError, match="already written"):
+            compose(c, other)
+        for add in (c.extend, lambda o: c.repeat(o, 1)):
+            with pytest.raises(ContractError, match="already written"):
+                add(other)
+        assert c.measured_qubits() == [(0, 0)] and len(c.gates) == 2
+        c.measure(1, 1)
+        assert run(c, 10, 0).counts == {"01": 10}
 
     def test_frozen_rejects_append(self):
         c = Circuit((("q", 1),))
@@ -221,10 +241,13 @@ def mapped(gates, table):
 
 
 def random_measured_circuit(num_qubits, num_gates, rng, classical_bits):
+    """A random circuit, then up to two qubits measured into distinct
+    classical bits."""
     c = appended((("q", num_qubits),), classical_bits,
                  [random_circuit(num_qubits, num_gates, rng).gates])
-    for q in rng.sample(range(num_qubits), rng.randint(0, 2)):
-        c.measure(q, rng.randrange(classical_bits))
+    qubits = rng.sample(range(num_qubits), rng.randint(0, 2))
+    for q, bit in zip(qubits, rng.sample(range(classical_bits), len(qubits))):
+        c.measure(q, bit)
     return c
 
 
@@ -240,6 +263,13 @@ class TestExtend:
             if len(free) < b_width:
                 continue
             table = rng.sample(free, b_width)
+            if set(a._measured.values()) & set(b._measured.values()):
+                # b measures into a classical bit a wrote: both ways reject it
+                with pytest.raises(ContractError, match="already written"):
+                    appended(a.registers, 3, [a.gates, mapped(b.gates, table)])
+                with pytest.raises(ContractError, match="already written"):
+                    compose(a, b, table)
+                continue
             want = appended(a.registers, 3, [a.gates, mapped(b.gates, table)])
             out = compose(a, b, table)
             assert out.gates == want.gates
@@ -293,7 +323,7 @@ class TestExtend:
         table = list(range(other.num_qubits)) if mapping is None else mapping
         reference = Circuit(target.registers, target.classical_bits)
         reference.gates = list(target.gates)
-        reference._measured = set(target._measured)
+        reference._measured = dict(target._measured)
         reference._frozen = target.frozen
         with pytest.raises(ContractError):
             for g in mapped(other.gates, table):

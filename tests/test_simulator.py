@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvmp.circuit import DIFFUSE, LOOKUP, Circuit, Gate, _expanded
+from qvmp.circuit import DIFFUSE, LOOKUP, Circuit, Gate, _expanded, _runs
 from qvmp.errors import ContractError, FormatError, ResourceError
 from qvmp.grover import build_grover_search, plan_iterations
 from qvmp.runner import generate_instance
 from qvmp.simulator import (
     SPARSE_MAX_QUBITS,
     Histogram,
+    _compile,
     _evolve,
     _gather,
     _Outcomes,
@@ -491,6 +492,109 @@ def test_gather_and_spread_match_the_bit_loop(data):
     assert np.array_equal(_gather(spread, qubits), values)
 
 
+
+@st.composite
+def block_circuits(draw):
+    """Circuits of 3-8 qubits made of segments, each appended as it is or
+    as a repeat block of t = 0-4 passes. A segment draws runs of cx onto
+    one target with repeated controls, runs of X with repeated qubits, and
+    z, mcz, ccx, h, lookup and diffuse gates; H on some qubits first."""
+    n = draw(st.integers(3, 8))
+    c = Circuit((("q", n),))
+    for q in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+        c.h(q)
+    for _ in range(draw(st.integers(1, 4))):
+        seg = Circuit((("q", n),))
+        for _ in range(draw(st.integers(1, 6))):
+            kind = draw(st.sampled_from(("cx run", "x run", "z", "mcz", "ccx", "h", "lookup",
+                                         "diffuse")))
+            order = draw(st.permutations(range(n)))
+            if kind == "cx run":
+                for ctrl in draw(st.lists(st.sampled_from(order[1:]), min_size=1, max_size=6)):
+                    seg.cx(ctrl, order[0])
+            elif kind == "x run":
+                for q in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+                    seg.x(q)
+            elif kind in ("z", "h"):
+                getattr(seg, kind)(order[0])
+            elif kind == "mcz":
+                seg.mcz(order[1:1 + draw(st.integers(1, n - 1))], order[0])
+            elif kind == "ccx":
+                seg.ccx(order[1], order[2], order[0])
+            elif kind == "lookup":
+                k = draw(st.integers(1, min(3, n - 1)))
+                d = draw(st.integers(1, min(3, n - k)))
+                table = draw(st.lists(st.integers(0, (1 << d) - 1),
+                                      min_size=1 << k, max_size=1 << k))
+                seg.append(Gate(LOOKUP, tuple(order[:k]), tuple(order[k:k + d]),
+                                table=tuple(table), reverse=draw(st.booleans())))
+            else:
+                seg.diffuse(order[:draw(st.integers(1, min(4, n)))])
+        if draw(st.booleans()):
+            c.repeat(seg, draw(st.integers(0, 4)))
+        else:
+            c.extend(seg)
+    return c
+
+
+def gate_by_gate(c, initial):
+    """``_evolve`` of one one-gate circuit per gate of ``c``, carrying the
+    state, and the stats the whole run gathers: the reference for
+    compiled evolution, which fuses runs and repeats a block's ops."""
+    state = _evolve(Circuit(c.registers), initial)
+    peak, pruned, stats = 1, 0.0, {}
+    for g in c.gates:
+        one = Circuit(c.registers)
+        one.append(g)
+        state = _evolve(one, state, stats=stats)
+        peak = max(peak, stats["peak_support"])
+        pruned += stats["pruned_mass"]
+    return state, {"engine": "sparse", "peak_support": peak, "pruned_mass": pruned}
+
+
+class TestCompiledEvolution:
+    @settings(max_examples=300, deadline=None)
+    @given(block_circuits(), st.data())
+    def test_matches_gate_by_gate(self, c, data):
+        initial = data.draw(st.integers(0, (1 << c.num_qubits) - 1))
+        stats = {}
+        state = _evolve(c, initial, stats=stats)
+        ref, ref_stats = gate_by_gate(c, initial)
+        order, ref_order = np.argsort(state.index), np.argsort(ref.index)
+        assert np.array_equal(state.index[order], ref.index[ref_order])
+        assert state.amp[order].tobytes() == ref.amp[ref_order].tobytes()
+        assert stats == ref_stats
+
+    def test_cx_run_is_one_parity_op(self):
+        # Four cx onto qubit 4, control 1 twice: one parity op over the
+        # controls that do not cancel. One cx, or a run that reduces to one
+        # control, is a masked XOR, and a run that cancels makes no op.
+        c = Circuit((("q", 5),))
+        for ctrl in (0, 1, 3, 1):
+            c.cx(ctrl, 4)
+        assert _compile(c.gates, {}) == [("parity", 0b1001, 4)]
+        assert _compile(c.gates[1:], {}) == [("cx", 0b1000, 1 << 4)]
+        assert _compile([c.gates[1], c.gates[3]], {}) == []
+        c.x(2)
+        c.x(0)
+        c.x(2)
+        assert _compile(c.gates[4:], {}) == [("x", 0b1, None)]
+
+    def test_iteration_body_ops_do_not_grow_with_m(self):
+        # A compact search's iteration is one lookup, one parity op for the
+        # inner product, Z, the inner product again, the reverse lookup and
+        # the diffuse, whatever the width m of the row register.
+        sizes = []
+        for m in (4, 16, 48):
+            inst = generate_instance(16, m, 1, seed=m)
+            assert bin(inst.y.bits).count("1") >= 2
+            search = build_grover_search(inst, 3, fold_y=True)
+            (body, t), = [(gates, t) for gates, t in _runs(search) if t > 1]
+            assert t == 3
+            sizes.append(len(_compile(body, {})))
+        assert sizes == [6, 6, 6]
+
+
 class TestStatevector:
     def test_empty_circuit(self):
         sv = statevector(Circuit((("q", 3),)))
@@ -729,6 +833,31 @@ class TestOutcomes:
         assert hist.shots == shots
         # a second draw from the same table is the same histogram
         assert outcomes.sample(shots, seed) == hist
+
+    @pytest.mark.parametrize("shots", [1, 7, 1024, 4096])
+    @pytest.mark.parametrize("size", [1, 2, 16, 1000, 5000])
+    def test_sample_matches_the_bincount_rule(self, size, shots):
+        # The rule the sampler replaced: search each sorted draw in the CDF,
+        # clip to the last outcome, bincount. The sizes put the outcomes on
+        # either side of the shot count. A third of the outcomes, the last
+        # one included, have probability zero and are never drawn.
+        marg = np.random.default_rng(size).random(size)
+        marg[(size - 1) % 3::3] = 0.0
+        marg[0] = 0.5
+        width = max(1, (size - 1).bit_length())
+        outcomes = _Outcomes(marg, [(q, q) for q in range(width)], width)
+        for seed in range(5):
+            u = np.random.default_rng(seed).random(shots)
+            u.sort()
+            cdf = np.cumsum(marg)
+            cdf /= cdf[-1]
+            draws = np.searchsorted(cdf, u, side="right")
+            freq = np.bincount(np.minimum(draws, size - 1), minlength=size)
+            values = np.flatnonzero(freq)
+            hist = outcomes.sample(shots, seed)
+            assert [int(key, 2) for key in hist.counts] == values.tolist()
+            assert list(hist.counts.values()) == freq[values].tolist()
+            assert not set(np.flatnonzero(marg == 0.0).tolist()) & set(values.tolist())
 
     def test_one_evolution_many_samples(self, monkeypatch):
         import qvmp.simulator as simulator
