@@ -492,7 +492,6 @@ def test_gather_and_spread_match_the_bit_loop(data):
     assert np.array_equal(_gather(spread, qubits), values)
 
 
-
 @st.composite
 def block_circuits(draw):
     """Circuits of 3-8 qubits made of segments, each appended as it is or
