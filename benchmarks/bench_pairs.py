@@ -14,8 +14,10 @@ and whether the change's median is within it (no worse than the parent's
 median by more than that fraction, in the metric's better direction),
 whether the change meets the gain rule (it wins at least 9 of every 10
 pairs, and its median beats the parent's by more than the parent's
-q3 - q1), and the attempted and failed operation counts; each metric outside its bound
-is also named on stderr. Metric names, directions and bounds come from the
+q3 - q1), whether the metric is unresolved (the parent's q3 - q1 is wider
+than the bound times its median, and not every change run beats every
+parent run), and the attempted and failed operation counts; each metric
+outside its bound or unresolved is also named on stderr. Metric names, directions and bounds come from the
 change's ``BENCHMARK.json``; the file is written in the current directory.
 """
 from __future__ import annotations
@@ -84,6 +86,9 @@ def workload_entry(results: dict, seeds: list[int], spec: list[dict]) -> dict:
         gain = parent_median - change_median if better == "lower" else change_median - parent_median
         spread = entry["parent"]["q3"] - entry["parent"]["q1"]
         entry["meets_gain_rule"] = 10 * wins >= 9 * len(runs["parent"]) and gain > spread
+        beats_all = (max(runs["change"]) < min(runs["parent"]) if better == "lower"
+                     else min(runs["change"]) > max(runs["parent"]))
+        entry["unresolved"] = spread > bound * parent_median and not beats_all
         metrics[name] = entry
     return {
         "seeds": seeds,
@@ -124,6 +129,12 @@ def main(argv=None) -> int:
                 print(f"{workload} {name}: change median {metric['change']['median']:.5g} is "
                       f"worse than the parent's {metric['parent']['median']:.5g} by more "
                       f"than its bound of {metric['bound']:.0%}", file=sys.stderr)
+            if metric["unresolved"]:
+                parent = metric["parent"]
+                print(f"{workload} {name}: unresolved, the parent's quartile spread "
+                      f"{parent['q3'] - parent['q1']:.5g} is wider than its bound of "
+                      f"{metric['bound']:.0%} of the parent's median {parent['median']:.5g}",
+                      file=sys.stderr)
 
     record = {
         "label": args.label,

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .bitlinalg import BitMatrix, BitVector, append_column, mismatch_rows
-from .circuit import CCX, CX, DIFFUSE, H, LOOKUP, X, Z, Circuit, Gate
+from .circuit import CCX, CX, DIFFUSE, LOOKUP, X, Z, Circuit, Gate
 from .errors import ContractError, DimensionError
 
 __all__ = [
@@ -279,11 +279,11 @@ def scan_success_probability(inst: QvmpInstance, max_iters: int,
                              dual: bool = False) -> list[tuple[int, float]]:
     """Exact probability mass on the solution addresses after k iterations,
     for k = 0..max_iters. In dual mode the tracked set is the matching rows.
-    The state is carried across k, so the scan evolves max_iters
-    iterations in all, on the compact registers (``fold_y``) that
-    ``qvmp_verify`` simulates. This is the one function of this module
-    that simulates, so the engine (and NumPy) loads at its first call."""
-    from .simulator import _evolve
+    The values are read from the passes of one compact search (``fold_y``,
+    as ``qvmp_verify`` simulates it): its prologue, then each iteration, so
+    the body is compiled once. This is the one function of this module that
+    simulates, so the engine (and NumPy) loads at its first call."""
+    from .simulator import _passes
 
     if max_iters < 1:
         raise ContractError("max_iters must be >= 1")
@@ -292,13 +292,9 @@ def scan_success_probability(inst: QvmpInstance, max_iters: int,
         tracked = set(range(inst.n)) - tracked
     # Address qubit i is global qubit i, so marginal index j is address j.
     address = list(range(inst.address_bits))
-    step = _grover_iteration(inst, dual, True)
-    state = _evolve(_appended(_search_registers(inst, True),
-                              [Gate(H, (), (q,)) for q in address]))
+    search = build_grover_search(inst, max_iters, dual, fold_y=True, measure=False)
     out = []
-    for k in range(max_iters + 1):
-        if k:
-            state = _evolve(step, state)
+    for k, state in zip(range(max_iters + 1), _passes(search)):
         marginal = state.marginal(address)
         out.append((k, float(sum(marginal[j] for j in tracked))))
     return out

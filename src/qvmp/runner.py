@@ -283,8 +283,21 @@ def metrics_to_csv(rows: list[dict]) -> str:
 
 
 def metrics_from_csv(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
-    return [{k: int(v) for k, v in row.items()} for row in reader]
+    """The rows ``metrics_to_csv`` wrote. Raises FormatError unless the
+    header is ``METRICS_FIELDS`` and each row has one integer per field."""
+    lines = csv.reader(io.StringIO(text))
+    if next(lines, None) != METRICS_FIELDS:
+        raise FormatError(f"metrics CSV must start with its {','.join(METRICS_FIELDS)} header")
+    rows = []
+    for line in filter(None, lines):
+        try:
+            values = [int(v) for v in line]
+        except ValueError as e:
+            raise FormatError(f"non-integer field in metrics row {line!r}") from e
+        if len(values) != len(METRICS_FIELDS):
+            raise FormatError(f"metrics row {line!r} does not have {len(METRICS_FIELDS)} fields")
+        rows.append(dict(zip(METRICS_FIELDS, values)))
+    return rows
 
 
 def emit_histogram(inst: QvmpInstance, plan, shots: int, seed: int) -> dict:
@@ -333,6 +346,9 @@ def histogram_from_csv(text: str) -> dict:
             raise FormatError(f"bad histogram line {line!r}") from e
         if hits < 0:
             raise FormatError(f"negative count in histogram line {line!r}")
+        # no upper bound: an exact probability may round a few ulps above 1
+        if not 0.0 <= p < float("inf"):
+            raise FormatError(f"probability not finite and nonnegative in histogram line {line!r}")
         if key in probs:
             raise FormatError(f"duplicate histogram key {key!r}")
         if hits:

@@ -6,32 +6,33 @@ same rule on classical bits: bit 0 is the rightmost character.
 
 Every evolution runs on a sparse state: an int64 array of the basis
 indices with nonzero amplitude and a float64 array of their amplitudes
-(the gate set is real). The stored indices are the true ones. An
-evolution compiles each run of the circuit (a repeat block's body, or the
-gates between blocks) into engine ops once (``_compile``, the one home of
-each gate rule) and applies a block's ops t times (``_apply``). A run of X
-gates is one index XOR, a run of cx onto one target one parity op (the
-target flips by the parity of the index bits under the XOR of the control
-bits, so a repeated control cancels), any other controlled-X gate one
-masked index XOR, and Z and MCZ a sign flip of the matching entries; the
-masks are made once per run. A table lookup gathers each index's address
-bits and XORs in that row's word, spread onto the data qubits (the whole
-table spread in one NumPy pass, once per table, data qubits and
-evolution). So a pass over a search's iteration body costs the same
-number of NumPy passes whatever the register width. H and a diffuse share
-one kernel: a stable sort puts the entries into groups that agree outside
-the op's qubits (one for H, the register for a diffuse), each group fills
-its 2^k slots of a block, the op rewrites the block (p·r ± a·r for H, one
-reflection about the mean for a diffuse, not the H and X layers it lowers
-to) and the block becomes the new state, with amplitudes that cancelled
-pruned. Every index bit is placed by ``_spread`` and read by ``_gather``
-(gate masks, group keys and slot offsets, table words, outcome keys), with
-one shift and mask when the qubits are a contiguous ascending run. At each
-diffuser every ancilla of a search circuit is back at its loaded value, so
-the state is one group, and between diffusers every ancilla is a function
-of the address, so the support never exceeds the n addresses whatever the
-register width. A run accepts up to ``SPARSE_MAX_QUBITS`` (62) qubits, the
-width of an int64 index.
+(the gate set is real). The stored indices are the true ones. One loop,
+``_passes``, runs every evolution: it compiles each run of the circuit (a
+repeat block's body, or the gates between blocks) into engine ops once
+(``_compile``, the one home of each gate rule), applies a block's ops t
+times (``_apply``) and yields the state after each pass; ``_evolve`` keeps
+the last. A run of X gates is one index XOR, a run of cx onto one target
+one parity op (the target flips by the parity of the index bits under the
+XOR of the control bits, so a repeated control cancels), any other
+controlled-X gate one masked index XOR, and Z and MCZ a sign flip of the
+matching entries; the masks are made once per run. A table lookup gathers
+each index's address bits and XORs in that row's word, spread onto the
+data qubits (the whole table spread in one NumPy pass, once per table and
+data qubits in a run). So a pass over a search's iteration body costs the
+same number of NumPy passes whatever the register width. H and a diffuse
+share one kernel: a stable sort puts the entries into groups that agree
+outside the op's qubits (one for H, the register for a diffuse), each
+group fills its 2^k slots of a block, the op rewrites the block (p·r ± a·r
+for H, one reflection about the mean for a diffuse, not the H and X layers
+it lowers to) and the block becomes the new state, with amplitudes that
+cancelled pruned. Every index bit is placed by ``_spread`` and read by
+``_gather`` (gate masks, group keys and slot offsets, table words, outcome
+keys), with one shift and mask when the qubits are a contiguous ascending
+run. At each diffuser every ancilla of a search circuit is back at its
+loaded value, so the state is one group, and between diffusers every
+ancilla is a function of the address, so the support never exceeds the n
+addresses whatever the register width. A run accepts up to
+``SPARSE_MAX_QUBITS`` (62) qubits, the width of an int64 index.
 
 The qubit cap (``QVMP_SIM_MAX_QUBITS``, a nonnegative integer, default 26,
 or ``statevector``'s ``max_qubits``) bounds the amplitudes held, 16 bytes
@@ -220,7 +221,6 @@ class _State:
     """A true-indexed sparse state: distinct basis indices (int64) and
     their real amplitudes. ``h`` and ``diffuse`` rebind both arrays."""
 
-    num_qubits: int
     index: np.ndarray
     amp: np.ndarray
 
@@ -321,7 +321,7 @@ class _State:
 _PARITY = "parity"
 
 
-def _compile(gates: list[Gate], lookups: dict) -> list[tuple]:
+def _compile(gates: list[Gate]) -> list[tuple]:
     """Engine ops for ``gates``, applied in order by ``_apply``; the one
     place each gate rule is written. Each op is (code, a, b):
 
@@ -337,12 +337,13 @@ def _compile(gates: list[Gate], lookups: dict) -> list[tuple]:
       of ``mask`` set;
     - (LOOKUP, masks, address): XOR in the mask of each index's address, the
       table spread onto the data qubits in one pass, once per (table, data
-      qubits) in ``lookups``, which a lookup and its reverse uncompute share;
+      qubits) in ``gates``, so a lookup and its reverse uncompute share it;
     - (H, qubit, None) and (DIFFUSE, qubits, None): ``_State.h`` and
       ``_State.diffuse``, whose groups and slots are made as they run.
 
     A measurement makes no op; sampling happens on the final state."""
     ops: list[tuple] = []
+    lookups: dict[tuple, np.ndarray] = {}  # (id of a table, data qubits) -> masks
     i, end = 0, len(gates)
     while i < end:
         g = gates[i]
@@ -413,46 +414,47 @@ def _apply(state: _State, ops: list[tuple], limit: int, tally: list | None) -> N
                 tally[1] += float(dropped @ dropped)
 
 
-def _evolve(circuit: Circuit, start: int | _State = 0, *, cap: int | None = None,
-            stats: dict | None = None) -> _State:
-    """Run all unitary gates on a basis state, or on ``start`` when it is
-    an evolved state of the same width (which is then consumed).
-
-    Each run that ``circuit._runs`` yields (a block's body, or the gates
-    between blocks) is compiled once into engine ops (``_compile``), and a
-    block's ops are applied t times (``_apply``), so a pass over a search's
-    iteration body costs the same number of NumPy passes whatever the
-    register width: its inner product is one parity op, not one masked XOR
-    per cx.
+def _passes(circuit: Circuit, initial: int = 0, *, cap: int | None = None,
+            stats: dict | None = None):
+    """Run the unitary gates of ``circuit`` on the basis state ``initial``,
+    yielding the state after each application of a run of ``_runs``: the
+    gates before the first block, then each pass of the block, and so on.
+    Each run is compiled once (``_compile``) and its ops applied t times
+    (``_apply``). The state yielded is one object, updated in place by the
+    next pass.
 
     ``cap`` bounds the support (default ``qubit_cap()``): an H that leaves
     more than 2^cap entries after pruning, or a diffuse whose groups make
     more than 2^cap slots, raises ResourceError. ``stats``, when given,
     receives ``engine`` ("sparse"), ``peak_support`` (most entries held)
-    and ``pruned_mass`` (squared amplitudes dropped by pruning).
+    and ``pruned_mass`` (squared amplitudes dropped by pruning) once the
+    generator is exhausted.
     """
     n = circuit.num_qubits
     if n > SPARSE_MAX_QUBITS:
         raise ResourceError(
             f"{n} qubits exceeds the sparse index limit of {SPARSE_MAX_QUBITS} qubits"
         )
+    if not 0 <= initial < (1 << n):
+        raise ContractError(f"initial basis index {initial} out of range")
     limit = cap if cap is not None else qubit_cap()
-    if isinstance(start, _State):
-        if start.num_qubits != n:
-            raise ContractError(f"start state has {start.num_qubits} qubits, circuit {n}")
-        state = start
-    else:
-        if not 0 <= start < (1 << n):
-            raise ContractError(f"initial basis index {start} out of range")
-        state = _State(n, np.array([start], dtype=np.int64), np.ones(1))
-    tally = None if stats is None else [state.index.size, 0.0]
-    lookups: dict[tuple, np.ndarray] = {}  # (id of a table, data qubits) -> masks
+    state = _State(np.array([initial], dtype=np.int64), np.ones(1))
+    tally = None if stats is None else [1, 0.0]
     for gates, t in _runs(circuit):
-        ops = _compile(gates, lookups)
+        ops = _compile(gates)
         for _ in range(t):
             _apply(state, ops, limit, tally)
+            yield state
     if stats is not None:
         stats.update(engine="sparse", peak_support=int(tally[0]), pruned_mass=tally[1])
+
+
+def _evolve(circuit: Circuit, initial: int = 0, *, cap: int | None = None,
+            stats: dict | None = None) -> _State:
+    """The last state that ``_passes`` yields: every unitary gate of
+    ``circuit`` run on the basis state ``initial``, ``cap`` and ``stats`` as there."""
+    for state in _passes(circuit, initial, cap=cap, stats=stats):
+        pass
     return state
 
 

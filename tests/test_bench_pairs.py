@@ -55,3 +55,20 @@ def test_workload_entry_applies_the_gain_rule(better, change, meets):
     metric = bench_pairs.workload_entry(results, list(range(10)), spec)["metrics"]["m"]
     assert metric["parent"]["q3"] - metric["parent"]["q1"] == pytest.approx(0.55)
     assert metric["meets_gain_rule"] is meets
+
+
+@pytest.mark.parametrize("better,parent,change,unresolved", [
+    ("lower", PARENT, PARENT, True),                        # spread 0.55 > 25% of 1.45
+    ("lower", PARENT, [v - 0.6 for v in PARENT], True),     # better, but the runs overlap
+    ("lower", PARENT, [0.9] * 10, False),                   # every run below every parent run
+    ("higher", PARENT, [2.0] * 10, False),                  # every run above every parent run
+    ("higher", PARENT, [v + 0.6 for v in PARENT], True),
+    ("lower", [1.0] * 10, [1.2] * 10, False),               # no spread
+    ("lower", [1.0, 1.1, 1.2] * 3 + [1.1], PARENT, False),  # spread 0.2 < 25% of 1.1
+])
+def test_workload_entry_flags_unresolved_metrics(better, parent, change, unresolved):
+    spec = [{"name": "m", "better": better, "bound": 0.25}]
+    results = {"parent": perfbench_results(parent, "m"),
+               "change": perfbench_results(change, "m")}
+    metric = bench_pairs.workload_entry(results, list(range(10)), spec)["metrics"]["m"]
+    assert metric["unresolved"] is unresolved

@@ -26,6 +26,7 @@ from qvmp.circuit import (
     Gate,
     _expanded,
     _expansion,
+    _runs,
     compose,
     gate_counts,
     inverse,
@@ -581,12 +582,13 @@ class TestScan:
         import qvmp.simulator as simulator
 
         inst = make_instance(8, 3, {1, 6}, seed=24)
-        calls = []
-        evolve = simulator._evolve
-        monkeypatch.setattr(simulator, "_evolve", lambda *a, **k: calls.append(1) or evolve(*a, **k))
+        compiled = []
+        compile_ = simulator._compile
+        monkeypatch.setattr(simulator, "_compile", lambda gates: compiled.append(gates) or compile_(gates))
         scan = scan_success_probability(inst, 4)
-        # one preparation plus one (oracle, diffuser) step per k >= 1
-        assert len(calls) == 5
+        # the prologue and the (oracle, diffuser) body, each compiled once
+        search = build_grover_search(inst, 4, fold_y=True, measure=False)
+        assert compiled == [gates for gates, _ in _runs(search)][:2]
         for k, p in scan:
             circ = build_grover_search(inst, k, measure=False)
             marginal = probabilities(circ, circ.qubits("address"))

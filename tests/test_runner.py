@@ -377,6 +377,17 @@ class TestMetricsEmission:
         text = metrics_to_csv(rows)
         assert metrics_from_csv(text) == rows
 
+    @pytest.mark.parametrize("text", [
+        "", "a\n", "n,m\n1\n", "n,m\n1,x\n",
+        ",".join(METRICS_FIELDS) + "\n1,2\n",
+        ",".join(METRICS_FIELDS) + "\n" + ",".join(["1"] * (len(METRICS_FIELDS) - 1) + ["x"]),
+        ",".join(METRICS_FIELDS) + "\n" + ",".join(["1"] * (len(METRICS_FIELDS) + 1)),
+    ], ids=["empty", "other_header", "short_row", "non_integer", "narrow_row",
+            "non_integer_field", "wide_row"])
+    def test_bad_csv(self, text):
+        with pytest.raises(FormatError):
+            metrics_from_csv(text)
+
     def test_default_grid_rows_pinned(self):
         """Every column of every default-grid row at seed 0, depths
         included, so a change to construction, lower or depth cannot drift
@@ -419,12 +430,20 @@ class TestHistogramEmission:
 
     @pytest.mark.parametrize("text", ["", "0,3,0.5\n1,1,0.5\n"] + [
         "bitstring,count,probability\n" + rows + "\n"
-        for rows in ("0,x,0.5", "0,-1,0.5", "0,1,0.5\n0,2,0.5", "x,1,0.5", "0,1,0.5\n10,1,0.5")
+        for rows in ("0,x,0.5", "0,-1,0.5", "0,1,0.5\n0,2,0.5", "x,1,0.5", "0,1,0.5\n10,1,0.5",
+                     "0,1,nan", "1,0,-0.5", "0,1,inf")
     ], ids=["empty", "no_header", "bad_count", "negative_count", "repeated_key",
-            "not_a_bitstring", "mixed_widths"])
+            "not_a_bitstring", "mixed_widths", "nan_probability", "negative_probability",
+            "infinite_probability"])
     def test_bad_csv(self, text):
         with pytest.raises(FormatError):
             histogram_from_csv(text)
+
+    def test_probability_above_one_reads_back(self):
+        # an exact probability that rounding leaves an ulp above 1
+        payload = {"counts": {"1": 5}, "probabilities": {"0": 0.0, "1": 1.0000000000000002}}
+        parsed = histogram_from_csv(histogram_to_csv(payload))
+        assert parsed == {"counts": {"1": 5}, "probabilities": payload["probabilities"]}
 
     def test_one_evolution_matches_run(self, monkeypatch):
         inst = generate_instance(8, 4, 2, seed=4)

@@ -14,15 +14,18 @@ from qvmp.runner import generate_instance
 from qvmp.simulator import (
     SPARSE_MAX_QUBITS,
     Histogram,
+    _apply,
     _compile,
     _evolve,
     _gather,
     _Outcomes,
     _outcomes,
+    _passes,
     _scatter,
     _spread,
     _State,
     probabilities,
+    qubit_cap,
     run,
     statevector,
 )
@@ -168,7 +171,7 @@ class TestSparseEngine:
         n, index, amp = state
         qubit = data.draw(st.integers(0, n - 1))
         ref_index, ref_amp, ref_dropped = merged_h(index, amp, qubit)
-        sparse = _State(n, index.copy(), amp.copy())
+        sparse = _State(index.copy(), amp.copy())
         dropped = sparse.h(qubit)
         order = np.argsort(sparse.index)
         ref_order = np.argsort(ref_index)
@@ -333,10 +336,11 @@ class TestSparseEngine:
         index = np.array([0, 1, 2, 3, 4, 5, 8, 10], dtype=np.int64)
         c = Circuit((("q", 4),))
         c.h(0)
-        stats = {}
-        state = _evolve(c, _State(4, index, np.full(8, 8 ** -0.5)), cap=3, stats=stats)
+        state = _State(index, np.full(8, 8 ** -0.5))
+        tally = [8, 0.0]
+        _apply(state, _compile(c.gates), 3, tally)
         assert state.index.size == 7
-        assert stats["peak_support"] == 8
+        assert tally[0] == 8
         assert np.array_equal(np.sort(state.index), [0, 2, 4, 8, 9, 10, 11])
 
     def test_sparse_index_limit(self):
@@ -537,18 +541,14 @@ def block_circuits(draw):
 
 
 def gate_by_gate(c, initial):
-    """``_evolve`` of one one-gate circuit per gate of ``c``, carrying the
-    state, and the stats the whole run gathers: the reference for
-    compiled evolution, which fuses runs and repeats a block's ops."""
-    state = _evolve(Circuit(c.registers), initial)
-    peak, pruned, stats = 1, 0.0, {}
+    """Each gate of ``c`` compiled on its own and applied to one state, and
+    the stats the whole run gathers: the reference for compiled evolution,
+    which fuses runs and repeats a block's ops."""
+    state = _State(np.array([initial], dtype=np.int64), np.ones(1))
+    tally = [1, 0.0]  # peak support, pruned mass
     for g in c.gates:
-        one = Circuit(c.registers)
-        one.append(g)
-        state = _evolve(one, state, stats=stats)
-        peak = max(peak, stats["peak_support"])
-        pruned += stats["pruned_mass"]
-    return state, {"engine": "sparse", "peak_support": peak, "pruned_mass": pruned}
+        _apply(state, _compile([g]), qubit_cap(), tally)
+    return state, {"engine": "sparse", "peak_support": tally[0], "pruned_mass": tally[1]}
 
 
 class TestCompiledEvolution:
@@ -563,6 +563,11 @@ class TestCompiledEvolution:
         assert np.array_equal(state.index[order], ref.index[ref_order])
         assert state.amp[order].tobytes() == ref.amp[ref_order].tobytes()
         assert stats == ref_stats
+        # one state per application of a run, the last one _evolve's
+        passes = list(_passes(c, initial))
+        assert len(passes) == sum(t for _, t in _runs(c))
+        assert np.array_equal(passes[-1].index, state.index)
+        assert passes[-1].amp.tobytes() == state.amp.tobytes()
 
     def test_cx_run_is_one_parity_op(self):
         # Four cx onto qubit 4, control 1 twice: one parity op over the
@@ -571,13 +576,13 @@ class TestCompiledEvolution:
         c = Circuit((("q", 5),))
         for ctrl in (0, 1, 3, 1):
             c.cx(ctrl, 4)
-        assert _compile(c.gates, {}) == [("parity", 0b1001, 4)]
-        assert _compile(c.gates[1:], {}) == [("cx", 0b1000, 1 << 4)]
-        assert _compile([c.gates[1], c.gates[3]], {}) == []
+        assert _compile(c.gates) == [("parity", 0b1001, 4)]
+        assert _compile(c.gates[1:]) == [("cx", 0b1000, 1 << 4)]
+        assert _compile([c.gates[1], c.gates[3]]) == []
         c.x(2)
         c.x(0)
         c.x(2)
-        assert _compile(c.gates[4:], {}) == [("x", 0b1, None)]
+        assert _compile(c.gates[4:]) == [("x", 0b1, None)]
 
     def test_iteration_body_ops_do_not_grow_with_m(self):
         # A compact search's iteration is one lookup, one parity op for the
@@ -590,7 +595,7 @@ class TestCompiledEvolution:
             search = build_grover_search(inst, 3, fold_y=True)
             (body, t), = [(gates, t) for gates, t in _runs(search) if t > 1]
             assert t == 3
-            sizes.append(len(_compile(body, {})))
+            sizes.append(len(_compile(body)))
         assert sizes == [6, 6, 6]
 
 
