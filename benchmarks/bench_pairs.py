@@ -17,8 +17,9 @@ pairs, and its median beats the parent's by more than the parent's
 q3 - q1), whether the metric is unresolved (the parent's q3 - q1 is wider
 than the bound times its median, and not every change run beats every
 parent run), and the attempted and failed operation counts; each metric
-outside its bound or unresolved is also named on stderr. Metric names, directions and bounds come from the
-change's ``BENCHMARK.json``; the file is written in the current directory.
+outside its bound or unresolved is also named on stderr. Metric names,
+directions and bounds come from the change's ``BENCHMARK.json``; the file
+is written in the current directory.
 """
 from __future__ import annotations
 
